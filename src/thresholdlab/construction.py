@@ -175,14 +175,20 @@ def build_arbitrary_width(target: WidthTarget, n: int) -> ConstructionRecord:
     The capped profile c~(n) = min(c(n), 2 sqrt(n)/e) picks the inner
     majority size a = round(phi^{-1}(c~(n)^2)) clamped to >= 2 (a real-
     valued a is only meaningful as a k-out-of-n size, and a = 1 would
-    degenerate).  The remaining budget k = floor(n/a) drives the
-    parallel-series factor.
+    degenerate).  A capped profile puts the inner size at phi's maximum
+    x = n/e^2, which is taken directly: phi is flat there, so bisecting on
+    it would miss x by far more than the inversion tolerance.  The
+    remaining budget k = floor(n/a) drives the parallel-series factor.
     """
     if n < 8:
         raise TargetError(f"construction needs n >= 8, got {n}")
-    c = target.c(n)
-    ctilde = min(float(c), 2.0 * math.sqrt(n) / math.e)
-    a = max(2, round(invert_phi(n, ctilde * ctilde)))
+    c = float(target.c(n))
+    cap = 2.0 * math.sqrt(n) / math.e
+    if c >= cap:
+        ctilde, x = cap, n / _E2
+    else:
+        ctilde, x = c, invert_phi(n, c * c)
+    a = max(2, round(x))
     k = n // a
     if k < 4:
         raise TargetError(

@@ -7,7 +7,9 @@
 
 ``series(n)`` is ``kofn(1,n)`` and ``parallel(n)`` is ``kofn(n,n)``.
 Whitespace is insignificant.  A BITSTRING is n characters of 0/1, one per
-coordinate.  Parse errors carry the byte offset of the offending character.
+coordinate.  ``prod`` nests at most ``MAX_DEPTH`` deep, so that evaluating a
+parsed expression stays well inside the interpreter's recursion limit.
+Parse errors carry the byte offset of the offending character.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .structures import (
 )
 
 
+MAX_DEPTH = 256
+
+
 class ParseError(ValueError):
     """Malformed expression text; ``offset`` points at the problem."""
 
@@ -34,6 +39,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -111,9 +117,13 @@ class _Parser:
                         )
                 out = Consecutive(k, n, topology)
             elif name == "prod":
+                if self.depth == MAX_DEPTH:
+                    raise ParseError(f"prod nested deeper than {MAX_DEPTH}", start)
+                self.depth += 1
                 a = self.expr()
                 self.expect(",")
                 b = self.expr()
+                self.depth -= 1
                 out = Product(a, b)
             elif name == "explicit":
                 n = self.integer()

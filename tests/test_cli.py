@@ -1,9 +1,13 @@
 """Command-line interface: outputs, exit codes, CSV/JSON contracts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thresholdlab
 from thresholdlab import cli, parse_expr, availability
 
 
@@ -235,6 +239,24 @@ def test_parse_error_exit_code_and_offset(capsys):
     code, _, err = run(capsys, "eval", "kofn(2;3)", "--p", "0.5")
     assert code == 1
     assert "parse error" in err and "offset 6" in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    expr = "prod(" * 1500 + "series(1)" + ",series(1))" * 1500
+    code, out, err = run(capsys, "eval", expr, "--p", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("parse error:") and "offset 1280" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_mpmath_out():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(thresholdlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, thresholdlab.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_out_of_range_p(capsys):

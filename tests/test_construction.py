@@ -175,6 +175,16 @@ def test_build_sqrt_target_hits_cap():
     assert record.target_width_inverse == pytest.approx(2 * math.sqrt(10**4) / math.e, rel=1e-12)
 
 
+def test_capped_inner_size_is_exactly_n_over_e2():
+    # 479849 / e^2 = 64940.50033 lies 5e-9 relative above a half-integer.
+    # phi is flat at that maximum, so bisecting on it rounded a down to 64940.
+    n = 479849
+    record = build_arbitrary_width(WidthTarget.builtin("ceil_sqrt"), n)
+    assert record.a == round(n / math.exp(2.0)) == 64941
+    rows = scaling_experiment(WidthTarget.builtin("ceil_sqrt"), [n], 0.25, 1e-12)
+    assert rows[0][1] == 259764
+
+
 def test_build_too_small_rejected():
     # below e^2 the profile map has no increasing branch to invert
     with pytest.raises(TargetError, match="n >= 8"):

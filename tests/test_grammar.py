@@ -11,6 +11,7 @@ from thresholdlab import (
     format_expr,
     parse_expr,
 )
+from thresholdlab.grammar import MAX_DEPTH
 
 from conftest import FIXTURES
 
@@ -42,6 +43,18 @@ def test_parse_explicit():
 def test_parse_nested_product():
     expr = parse_expr("prod(prod(series(2),parallel(2)),series(5))")
     assert expr.n == 20
+
+
+def test_nesting_depth_cap():
+    def nested(depth):
+        return "prod(" * depth + "series(1)" + ",series(1))" * depth
+
+    deepest = parse_expr(nested(MAX_DEPTH))
+    assert parse_expr(format_expr(deepest)) == deepest
+    assert availability(deepest, 0.3).value == pytest.approx(0.3, abs=1e-15)
+    with pytest.raises(ParseError) as info:
+        parse_expr(nested(MAX_DEPTH + 1))
+    assert info.value.offset == len("prod(") * MAX_DEPTH
 
 
 @pytest.mark.parametrize(
