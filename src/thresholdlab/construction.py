@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from typing import Callable, Mapping, Sequence
 
 from .exact_eval import EvaluationError
@@ -25,7 +26,11 @@ from .structures import StructureExpr, majority, parallel, product, series
 from .threshold import width
 
 _E2 = math.exp(2.0)
-_PHI_REL_TOL = 1e-9
+_PHI_CONTEXT = Context(prec=30)
+# Relative error bound of x ln(n/x)^2 in doubles for x <= n/e^2, with room
+# to spare: there ln(n/x) >= 2, and the division, the log (within 1 ulp),
+# the square and the product add up to about 8e-16.
+_PHI_DOUBLE_ERROR = 2e-15
 
 
 class TargetError(ValueError):
@@ -131,20 +136,26 @@ class ConstructionRecord:
 
 
 def phi(n: int, x: float) -> float:
-    """Profile map x * ln(n/x)^2 on [1, n]."""
+    """Profile map x * ln(n/x)^2 on [1, n], rounded once from 30 digits."""
     if n < 2:
         raise EvaluationError(f"profile map needs n >= 2, got {n}")
     if not 1.0 <= x <= n:
         raise EvaluationError(f"profile map needs 1 <= x <= n, got x = {x!r}")
-    return x * math.log(n / x) ** 2
+    ctx = _PHI_CONTEXT
+    log = ctx.ln(ctx.divide(Decimal(n), Decimal(x)))
+    return float(ctx.multiply(Decimal(x), ctx.multiply(log, log)))
 
 
 def invert_phi(n: int, y: float) -> float:
     """Inverse of the profile map on [1, n/e^2], where it increases.
 
     (The derivative ln(n/x) * ln(n e^-2 / x) stays positive there.)
-    Bisects to relative 1e-9 in x, which also lands phi(n, x) within
-    relative 1e-9 of y since x phi'(x) <= 2 phi(x) on the branch.
+    Bisects until lo and hi are adjacent doubles.  Each step compares
+    x ln(n/x)^2 in doubles with y, and falls back on ``phi`` when the two
+    lie within _PHI_DOUBLE_ERROR of each other.  So every step goes the
+    way the exact map would, and near the flat top at n/e^2, where phi
+    changes in its last few bits, the double rounding noise of phi cannot
+    send the bisection astray.
     """
     if n < 8:
         raise EvaluationError(
@@ -158,15 +169,17 @@ def invert_phi(n: int, y: float) -> float:
         )
     y = min(max(y, lo_y), hi_y)
     lo, hi = 1.0, n / _E2
-    for _ in range(200):
-        if hi - lo <= _PHI_REL_TOL * lo:
-            break
+    while True:
         mid = 0.5 * (lo + hi)
-        if phi(n, mid) < y:
+        if not lo < mid < hi:
+            return mid
+        value = mid * math.log(n / mid) ** 2
+        if abs(value - y) <= _PHI_DOUBLE_ERROR * y:
+            value = phi(n, mid)
+        if value < y:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def build_arbitrary_width(target: WidthTarget, n: int) -> ConstructionRecord:
