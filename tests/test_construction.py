@@ -62,7 +62,7 @@ def test_invert_phi_range_validation():
 
 @given(n=st.integers(10, 10**6), frac=st.floats(0.0, 1.0, exclude_max=True))
 @settings(max_examples=120, deadline=None)
-@example(n=2660, frac=0.9999999999999999)  # phi in plain doubles missed x by 1.1e-9
+@example(n=2660, frac=0.9999999999999999)  # here a few ulps of error in phi move x by ~1e-9
 def test_invert_phi_is_inverse(n, frac):
     # x within ~sqrt(eps) of the flat point n/e^2 is not recoverable from a
     # double-precision phi value (the derivative vanishes there), so the
