@@ -12,8 +12,7 @@ Subcommands:
 
 Exit status: 0 on success, 1 on bad input, 2 when ``verify`` finds a
 failing check.  CSV output uses '.' decimals and '\\n' line endings
-regardless of locale.  THRESHOLDLAB_THREADS caps row-evaluation workers
-(0 or unset picks a size-based default).
+regardless of locale.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import construction, montecarlo, structures, threshold
@@ -39,28 +36,6 @@ from .structures import MAX_ENUM_BITS, Product, StructureError
 
 _ROUND_TRIP_LEVELS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 _CHECK_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
-
-
-def max_workers() -> int:
-    """Worker cap from THRESHOLDLAB_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("THRESHOLDLAB_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise EvaluationError(f"THRESHOLDLAB_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise EvaluationError(f"THRESHOLDLAB_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        return min(8, os.cpu_count() or 1)
-    return cap
-
-
-def _map_rows(fn, items):
-    workers = max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, payload: dict, text_lines):
@@ -100,13 +75,10 @@ def _cmd_curve(args) -> int:
         raise EvaluationError(f"--grid needs at least 2 points, got {args.grid}")
     ps = [i / (args.grid - 1) for i in range(args.grid)]
 
-    def row(p):
+    print("p,mu,dmu_dp")
+    for p in ps:
         mu = availability(expr, p).value
         dmu = derivative(expr, p) if 0.0 < p < 1.0 else math.nan
-        return p, mu, dmu
-
-    print("p,mu,dmu_dp")
-    for p, mu, dmu in _map_rows(row, ps):
         print(f"{p!r},{mu!r},{'nan' if math.isnan(dmu) else repr(dmu)}")
     return 0
 
@@ -251,20 +223,14 @@ def _cmd_scaling(args) -> int:
     if args.target:
         target = _load_target(args.target)
         print("n,N,c_N,tau,tau_times_c_N")
-        rows = _map_rows(
-            lambda n: construction.scaling_experiment(target, [n], args.eps, args.tol)[0],
-            sizes,
-        )
-        for n, size, c_n, tau, product in rows:
+        for n, size, c_n, tau, product in construction.scaling_experiment(
+            target, sizes, args.eps, args.tol
+        ):
             print(f"{n},{size},{c_n},{tau!r},{product!r}")
         return 0
     family = _FAMILIES[args.family]
     print("n,sharpness_ratio,half_slope_statistic")
-    rows = _map_rows(
-        lambda n: threshold.sharpness_trend(family, [n], args.eps, args.tol)[0],
-        sizes,
-    )
-    for n, ratio, stat in rows:
+    for n, ratio, stat in threshold.sharpness_trend(family, sizes, args.eps, args.tol):
         print(f"{n},{ratio!r},{stat!r}")
     return 0
 

@@ -6,8 +6,9 @@ route for the variant:
 
 * k-out-of-n        -- binomial upper tail (stable log-domain summation),
                        with series/parallel closed forms via expm1/log1p;
-* consecutive runs  -- transfer-matrix dynamic program over trailing-run
-                       states, differentiated in forward mode;
+* consecutive runs  -- one power of the trailing-run transfer matrix,
+                       O(k^3 log n); the slope rides along as the dual
+                       block of [[M, dM/dp], [0, M]];
 * product           -- composition mu_p(A x B) = mu_{mu_p(A)}(B);
 * explicit sets     -- the reliability polynomial, counted by brute force.
 
@@ -40,6 +41,10 @@ from .structures import (
 _EPS = sys.float_info.epsilon
 
 METHODS = ("closed_form", "binomial_tail", "dp", "brute_force", "composed")
+
+# Longest run the transfer matrix takes: its (2k+2)^2 derivative block stays
+# a few megabytes, and one power a fraction of a second.
+MAX_RUN_LENGTH = 256
 
 
 class EvaluationError(ValueError):
@@ -151,9 +156,28 @@ def _(expr: KOutOfN, p) -> EvalResult:
 @availability.register
 def _(expr: Consecutive, p) -> EvalResult:
     p = _check_prob(p)
-    mu, _unused = _consecutive_eval(expr, p, want_deriv=False)
-    bound = max(1e-15, 4.0 * _EPS * expr.n)
-    return EvalResult(min(1.0, max(0.0, mu)), "dp", bound)
+    mu = min(1.0, _consecutive_eval(expr, p, want_deriv=False)[0])
+    return EvalResult(mu, "dp", _consecutive_bound(expr, mu))
+
+
+def _consecutive_bound(expr: Consecutive, mu: float) -> float:
+    """Error bound of the matrix-power mu, relative to mu.
+
+    With u = eps/2, call X^ within e of a nonnegative X when exp(-e) X <=
+    X^ <= exp(e) X entrywise.  M's entries p, 1, 0 are exact and fl(1-p) is
+    within u.  A product of nonnegative matrices sums <= k+1 nonnegative
+    terms, so it is within e_A + e_B + (k+1) u: squaring doubles the error
+    it is given, and binary powering yields M^n within n u + (n-1)(k+1) u.
+    The circular start weights (4 u), k-1 Horner steps ((k+3) u each), the
+    last row product and the sum with p^k bring both topologies to at most
+    n (k+2) u + 2 u <= (n+1)(k+3) u = e.  The factor n is real: a relative
+    error in 1-p moves a path weight by its count of 1-p factors, up to n,
+    and each squaring passes earlier rounding on to every later power.
+    So |mu^ - mu| <= expm1(2e) mu^.  Underflow adds <= 2^-1075 per rounding,
+    carried over <= k+1 terms per entry: below 2e (k+3) float_min in all.
+    """
+    growth = (expr.n + 1) * (expr.k + 3) * _EPS
+    return min(1.0, math.expm1(growth) * mu + growth * (expr.k + 3) * sys.float_info.min)
 
 
 @availability.register
@@ -202,8 +226,7 @@ def _(expr: KOutOfN, p) -> float:
 @derivative.register
 def _(expr: Consecutive, p) -> float:
     p = _check_interior(p)
-    _unused, dmu = _consecutive_eval(expr, p, want_deriv=True)
-    return dmu
+    return _consecutive_eval(expr, p, want_deriv=True)[1]
 
 
 @derivative.register
@@ -281,54 +304,63 @@ def _cached_polynomial(expr: Explicit) -> ReliabilityPolynomial:
     return reliability_polynomial(expr)
 
 
-# -- consecutive-run dynamic program ---------------------------------------
+# -- consecutive runs by transfer-matrix powers ----------------------------
 
 
-def _run_chain(n_steps: int, k: int, p: float, s0: int, want_deriv: bool):
-    """P(a linear chain seeded with a trailing run of s0 ever reaches run k).
+@lru_cache(maxsize=64)
+def _run_templates(k: int, dual: bool):
+    """(A, D) with the run chain's step matrix M = A + p D, so D = dM/dp.
 
-    States track the trailing failure-run length 0..k-1; run k absorbs.
-    Forward-mode derivative is carried alongside when requested.
+    States 0..k-1 are the trailing failure-run length; state k (run k
+    reached) absorbs.  A working unit sends s < k to 0, a failed one to
+    s + 1.  With ``dual`` the pair builds the block [[M, D], [0, M]], whose
+    powers carry d(M^n)/dp in the upper-right block.
     """
-    q = 1.0 - p
-    v = [0.0] * k
-    v[s0] = 1.0
-    dv = [0.0] * k if want_deriv else None
-    absorbed = 0.0
-    dabs = 0.0
-    for _ in range(n_steps):
-        tot = math.fsum(v)
-        if want_deriv:
-            dtot = math.fsum(dv)
-            dabs += v[k - 1] + p * dv[k - 1]
-            dv = [q * dtot - tot] + [v[s] + p * dv[s] for s in range(k - 1)]
-        absorbed += p * v[k - 1]
-        v = [q * tot] + [p * v[s] for s in range(k - 1)]
-    return absorbed, dabs
+    m = k + 1
+    a, d = np.zeros((2, m, m))
+    a[:k, 0] = 1.0
+    a[k, k] = 1.0
+    d[:k, 0] = -1.0
+    d[np.arange(k), np.arange(1, m)] = 1.0
+    if dual:
+        o = np.zeros((m, m))
+        a, d = np.block([[a, d], [o, a]]), np.block([[d, o], [o, d]])
+    return a, d
 
 
 def _consecutive_eval(expr: Consecutive, p: float, want_deriv: bool):
+    """(mu, dmu/dp) from one matrix power of the run chain (Fu & Koutras 1994).
+
+    Linear: mu is the absorbing entry of row 0 of M^n.  Circular: either the
+    last k units fail (p^k), or w < k trailing failures follow a working
+    unit, which cuts the cycle into a chain of n-1-w steps from state w.
+    Horner steps through M fold the start weights p^w q into one row u, so
+    mu = p^k + (u M^(n-k))[k].  All terms are nonnegative, so mu keeps its
+    relative accuracy however small it is.
+    """
     k, n = expr.k, expr.n
-    if p == 0.0 or p == 1.0:
-        if want_deriv:
-            raise EvaluationError("derivative is only defined for 0 < p < 1 here")
-        return (0.0 if p == 0.0 else 1.0), 0.0
+    if p in (0.0, 1.0):  # derivative callers have excluded the endpoints
+        return p, 0.0
+    if k > MAX_RUN_LENGTH:
+        raise EvaluationError(f"consecutive runs need k <= {MAX_RUN_LENGTH}, got {k}")
+    a, d = _run_templates(k, want_deriv)
+    step = a + p * d
+    m = k + 1
     if expr.topology == "linear":
-        return _run_chain(n, k, p, 0, want_deriv)
-    # circular: split on the failure run touching the wrap point.  Either the
-    # last k positions are all failed (a run regardless of the rest), or
-    # exactly w < k trailing failures precede a working unit, which cuts the
-    # cycle open into a chain of n-1-w positions seeded with run w.
-    mu_terms = [p**k]
-    dmu_terms = [k * p ** (k - 1)] if want_deriv else None
-    q = 1.0 - p
-    for w in range(min(k, n)):
-        chain, dchain = _run_chain(n - 1 - w, k, p, w, want_deriv)
-        pw = p**w
-        mu_terms.append(pw * q * chain)
-        if want_deriv:
-            dfactor = (w * p ** (w - 1) * q - pw) if w > 0 else -1.0
-            dmu_terms.append(dfactor * chain + pw * q * dchain)
-    mu = math.fsum(mu_terms)
-    dmu = math.fsum(dmu_terms) if want_deriv else 0.0
+        row = np.linalg.matrix_power(step, n)[0]
+        wrap = dwrap = 0.0
+    else:
+        q = 1.0 - p
+        u = np.zeros(len(a))
+        for w in range(k):
+            if w:
+                u = u @ step
+            pw = p**w
+            u[w] += pw * q
+            if want_deriv:
+                u[m + w] += (w * p ** (w - 1) * q if w else 0.0) - pw
+        row = u @ np.linalg.matrix_power(step, n - k)
+        wrap, dwrap = p**k, k * p ** (k - 1)
+    mu = float(row[k]) + wrap
+    dmu = float(row[m + k]) + dwrap if want_deriv else 0.0
     return mu, dmu

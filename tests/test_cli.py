@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, CSV/JSON contracts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,18 +60,28 @@ def test_curve_csv(capsys):
     assert float(dmu) == pytest.approx(3 * 0.25, abs=1e-12)
 
 
-def test_curve_deterministic_under_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("THRESHOLDLAB_THREADS", "1")
-    _, serial, _ = run(capsys, "curve", "prod(parallel(2),series(3))", "--grid", "31")
-    monkeypatch.setenv("THRESHOLDLAB_THREADS", "4")
-    _, threaded, _ = run(capsys, "curve", "prod(parallel(2),series(3))", "--grid", "31")
-    assert serial == threaded
+def test_curve_is_deterministic(capsys):
+    _, first, _ = run(capsys, "curve", "prod(parallel(2),series(3))", "--grid", "31")
+    _, second, _ = run(capsys, "curve", "prod(parallel(2),series(3))", "--grid", "31")
+    assert first == second
 
 
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("THRESHOLDLAB_THREADS", "lots")
-    code, _, err = run(capsys, "curve", "series(3)", "--grid", "3")
-    assert code == 1 and "THRESHOLDLAB_THREADS" in err
+def test_huge_consecutive_systems_finish(capsys):
+    code, out, _ = run(capsys, "width", "--json", "consec(5,1000000000)")
+    assert code == 0
+    report = json.loads(out)
+    assert all(math.isfinite(report[key]) for key in ("p_lo", "p_half", "p_hi", "width"))
+    assert 0.0 < report["p_lo"] < report["p_half"] < report["p_hi"] < 1.0
+    code, out, _ = run(capsys, "eval", "consec(3,1000000000000,linear)", "--p", "1e-5", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert 0.0 < payload["mu"] < 1.0 and math.isfinite(payload["dmu_dp"])
+    assert payload["abs_error_bound"] < 1e-2 * payload["mu"]
+
+
+def test_overlong_run_is_an_error(capsys):
+    code, out, err = run(capsys, "eval", "consec(1000,2000)", "--p", "0.5")
+    assert code == 1 and not out and "k <= " in err
 
 
 # -- width / threshold ------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from thresholdlab import (
@@ -22,6 +24,8 @@ from thresholdlab import (
     reliability_polynomial,
     series,
 )
+
+from thresholdlab.exact_eval import MAX_RUN_LENGTH
 
 from conftest import FIXTURES, brute_availability, brute_influence
 
@@ -260,3 +264,162 @@ def test_consecutive_derivative_forward_mode():
         for p in (0.2, 0.5, 0.8):
             fd = (availability(expr, p + h).value - availability(expr, p - h).value) / (2 * h)
             assert derivative(expr, p) == pytest.approx(fd, abs=1e-7)
+
+
+# -- consecutive runs against a step-by-step chain ------------------------------
+
+EPS = 2.0**-52
+
+
+def _run_chain(n_steps, k, p, s0, total=math.fsum):
+    """P(a linear chain seeded with a trailing run of s0 ever reaches run k),
+    and its slope, walked one unit at a time with forward-mode derivatives.
+
+    Works in floats or in mpmath numbers (pass ``total=mpmath.fsum``).
+    """
+    q = 1 - p
+    v = [0 * p] * k
+    v[s0] = 1 + 0 * p
+    dv = [0 * p] * k
+    absorbed = dabs = 0 * p
+    for _ in range(n_steps):
+        tot, dtot = total(v), total(dv)
+        dabs += v[k - 1] + p * dv[k - 1]
+        absorbed += p * v[k - 1]
+        dv = [q * dtot - tot] + [v[s] + p * dv[s] for s in range(k - 1)]
+        v = [q * tot] + [p * v[s] for s in range(k - 1)]
+    return absorbed, dabs
+
+
+def _chain_oracle(k, n, topology, p, total=math.fsum):
+    """(mu, dmu/dp) by O(n k) chains; circular splits on the wrap-point run."""
+    if topology == "linear":
+        return _run_chain(n, k, p, 0, total)
+    q = 1 - p
+    mu, dmu = [p**k], [k * p ** (k - 1)]
+    for w in range(k):
+        chain, dchain = _run_chain(n - 1 - w, k, p, w, total)
+        pw = p**w
+        mu.append(pw * q * chain)
+        dmu.append(((w * p ** (w - 1) * q if w else 0) - pw) * chain + pw * q * dchain)
+    return total(mu), total(dmu)
+
+
+def _mp_oracle(k, n, topology, p):
+    with mpmath.workdps(50):
+        return _chain_oracle(k, n, topology, mpmath.mpf(p), mpmath.fsum)
+
+
+ORACLE_CASES = [(1, 3000), (2, 2999), (5, 1000), (7, 2000), (13, 257), (20, 20), (20, 3000)]
+ORACLE_PS = (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.97, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("topology", ["linear", "circular"])
+@pytest.mark.parametrize("k,n", ORACLE_CASES)
+def test_consecutive_matches_chain_oracle(k, n, topology):
+    expr = Consecutive(k, n, topology)
+    for p in ORACLE_PS:
+        mu, dmu = _chain_oracle(k, n, topology, p)
+        assert abs(availability(expr, p).value - mu) <= 2e-14
+        # Near p = 1 the slope is a difference of O(n) terms in both
+        # methods, which leaves an absolute noise floor of a few n eps.
+        assert abs(derivative(expr, p) - dmu) <= 1e-12 * abs(dmu) + 16 * EPS * n
+
+
+@pytest.mark.parametrize(
+    "k,n,topology,p",
+    [
+        (3, 1000, "linear", 1e-5),
+        (5, 400, "circular", 1e-4),
+        (20, 300, "linear", 1e-3),
+        (2, 3000, "circular", 1e-8),
+        (13, 257, "circular", 1e-6),
+    ],
+)
+def test_consecutive_relative_accuracy_at_tiny_mu(k, n, topology, p):
+    expr = Consecutive(k, n, topology)
+    mu, dmu = _mp_oracle(k, n, topology, p)
+    assert mu < 1e-11
+    res = availability(expr, p)
+    err = abs(mpmath.mpf(res.value) - mu)
+    assert err <= 1e-12 * mu
+    assert err <= res.abs_error_bound
+    assert abs(mpmath.mpf(derivative(expr, p)) - dmu) <= 1e-12 * dmu
+
+
+@pytest.mark.parametrize(
+    "k,n,topology",
+    [
+        (1, 3000, "linear"),
+        (1, 3000, "circular"),
+        (2, 2999, "linear"),
+        (2, 2999, "circular"),
+        (5, 1000, "linear"),
+        (6, 300, "circular"),
+        (20, 400, "linear"),
+    ],
+)
+def test_consecutive_bound_against_mpmath_oracle(k, n, topology):
+    expr = Consecutive(k, n, topology)
+    for p in (1e-6, 1e-3, 0.3, 0.5, 0.8, 1.0 - 1e-6):
+        res = availability(expr, p)
+        mu, _ = _mp_oracle(k, n, topology, p)
+        assert abs(mpmath.mpf(res.value) - mu) <= res.abs_error_bound
+
+
+@pytest.mark.parametrize("topology", ["linear", "circular"])
+@pytest.mark.parametrize(
+    "k,n",
+    [(1, 1), (1, 2), (2, 3), (1, 5), (3, 5), (5, 5), (2, 8), (4, 8), (1, 13), (3, 13),
+     (13, 13), (2, 20), (5, 20), (20, 20)],
+)
+def test_consecutive_bound_against_brute_force(k, n, topology):
+    # Exact rationals: each double p is a binary fraction, so the member
+    # counts by weight give the true mu to compare against the bound.
+    expr = Consecutive(k, n, topology)
+    counts = reliability_polynomial(expr).counts
+    for p in (1e-9, 1e-5, 0.3, 0.5, 0.9, 1.0 - 2.0**-40):
+        fp = Fraction(p)
+        exact = sum(c * fp**i * (1 - fp) ** (n - i) for i, c in enumerate(counts))
+        res = availability(expr, p)
+        assert abs(Fraction(res.value) - exact) <= Fraction(res.abs_error_bound)
+
+
+def test_consecutive_bound_is_relative():
+    # consec(3,1000,linear) at p = 1e-5 has mu ~ 1e-12; an absolute bound of
+    # n eps would be as large as mu itself
+    res = availability(Consecutive(3, 1000, "linear"), 1e-5)
+    assert res.abs_error_bound <= 1e-11 * res.value
+
+
+@pytest.mark.parametrize("topology", ["linear", "circular"])
+def test_consecutive_single_run_at_huge_n_is_series(topology):
+    n = 10**12
+    expr = Consecutive(1, n, topology)
+    for p in (1e-14, 1e-12, 2.0**-40, 2.5e-12, 1e-11):
+        got, want = availability(expr, p), availability(series(n), p)
+        assert abs(got.value - want.value) <= got.abs_error_bound + want.abs_error_bound
+        # the slope carries the same n-fold rounding growth as mu
+        growth = (n + 1) * 4 * EPS
+        assert derivative(expr, p) == pytest.approx(derivative(series(n), p), rel=growth)
+
+
+@pytest.mark.parametrize("topology", ["linear", "circular"])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, MAX_RUN_LENGTH])
+def test_consecutive_full_run_is_p_to_the_n(n, topology):
+    expr = Consecutive(n, n, topology)
+    assert availability(expr, 0.5).value == 0.5**n
+    for p in (1e-3, 0.3, 0.9, 0.999):
+        res = availability(expr, p)
+        assert abs(Fraction(res.value) - Fraction(p) ** n) <= Fraction(res.abs_error_bound)
+        assert res.value == pytest.approx(p**n, rel=1e-12, abs=1e-300)
+
+
+def test_consecutive_run_length_cap():
+    expr = Consecutive(MAX_RUN_LENGTH + 1, 2 * MAX_RUN_LENGTH)
+    assert availability(expr, 0.0).value == 0.0
+    assert availability(expr, 1.0).value == 1.0
+    with pytest.raises(EvaluationError):
+        availability(expr, 0.5)
+    with pytest.raises(EvaluationError):
+        derivative(expr, 0.5)
