@@ -44,7 +44,6 @@ from .structures import (
     StructureError,
     StructureExpr,
     explicit_from_generators,
-    ground_size,
     majority,
     membership,
     parallel,
@@ -58,7 +57,6 @@ from .structures import (
 )
 from .threshold import (
     BoundCheck,
-    ConvergenceError,
     ThresholdReport,
     check_cauchy_schwarz_bound,
     check_entropy_inequalities,
@@ -78,7 +76,6 @@ __all__ = [
     "Configuration",
     "Consecutive",
     "ConstructionRecord",
-    "ConvergenceError",
     "EvalResult",
     "EvaluationError",
     "Explicit",
@@ -105,7 +102,6 @@ __all__ = [
     "explicit_from_generators",
     "format_expr",
     "gaussian_isoperimetric",
-    "ground_size",
     "hoeffding_width_bound",
     "homogeneity_scan",
     "influences",

@@ -209,8 +209,7 @@ def build_arbitrary_width(target: WidthTarget, n: int) -> ConstructionRecord:
             f"so n >= {4 * a}"
         )
     bk = parallel_series(k)
-    m = bk.inner.n
-    r = bk.outer.n
+    m, r = (stage.n for stage in bk.stages)
     expr = product(majority(a), bk)
     return ConstructionRecord(
         n=n,

@@ -9,7 +9,9 @@ route for the variant:
 * consecutive runs  -- one power of the trailing-run transfer matrix,
                        O(k^3 log n); the slope rides along as the dual
                        block of [[M, dM/dp], [0, M]];
-* product           -- composition mu_p(A x B) = mu_{mu_p(A)}(B);
+* product           -- composition mu_p(A x B) = mu_{mu_p(A)}(B), one fold
+                       over the stage chain that carries the value, the
+                       error bound and the slope together;
 * explicit sets     -- the reliability polynomial, counted by brute force.
 
 ``derivative`` gives d mu_p / dp analytically for every variant, and
@@ -189,15 +191,25 @@ def _(expr: Explicit, p) -> EvalResult:
 
 @availability.register
 def _(expr: Product, p) -> EvalResult:
-    p = _check_prob(p)
-    inner = availability(expr.inner, p)
-    outer = availability(expr.outer, inner.value)
-    if 0.0 < inner.value < 1.0:
-        slope = abs(derivative(expr.outer, inner.value))
-    else:
-        slope = 0.0
-    bound = outer.abs_error_bound + inner.abs_error_bound * slope
-    return EvalResult(outer.value, "composed", bound)
+    mu, bound, _ = _compose(expr, _check_prob(p), 0.0)
+    return EvalResult(mu, "composed", bound)
+
+
+def _compose(expr: Product, p: float, slope: float):
+    """(mu, error bound, slope * d mu/dp), folded over the stages in order.
+
+    Each stage maps its input q to mu_q(stage), as mu_p(A x B) =
+    mu_{mu_p(A)}(B); its bound is its own plus the incoming bound times
+    |d mu_q(stage)/dq|, and the slope takes the same factor.  An input of
+    0 or 1 is fixed by every later stage, so their slopes count as zero;
+    a slope that would only multiply zeros is not evaluated.
+    """
+    mu, bound = p, 0.0
+    for stage in expr.stages:
+        d = derivative(stage, mu) if 0.0 < mu < 1.0 and (bound or slope) else 0.0
+        res = availability(stage, mu)
+        mu, bound, slope = res.value, res.abs_error_bound + bound * abs(d), slope * d
+    return mu, bound, slope
 
 
 # -- derivative ------------------------------------------------------------
@@ -225,8 +237,9 @@ def _(expr: KOutOfN, p) -> float:
 
 @derivative.register
 def _(expr: Consecutive, p) -> float:
+    # mu never falls as p grows; the clamp drops rounding noise near p = 1
     p = _check_interior(p)
-    return _consecutive_eval(expr, p, want_deriv=True)[1]
+    return max(0.0, _consecutive_eval(expr, p, want_deriv=True)[1])
 
 
 @derivative.register
@@ -237,11 +250,7 @@ def _(expr: Explicit, p) -> float:
 
 @derivative.register
 def _(expr: Product, p) -> float:
-    p = _check_interior(p)
-    q = availability(expr.inner, p).value
-    if not 0.0 < q < 1.0:
-        return 0.0  # inner value under/overflowed; the chain factor vanishes
-    return derivative(expr.inner, p) * derivative(expr.outer, q)
+    return _compose(expr, _check_interior(p), 1.0)[2]
 
 
 # -- influences ------------------------------------------------------------

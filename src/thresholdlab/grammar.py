@@ -7,9 +7,11 @@
 
 ``series(n)`` is ``kofn(1,n)`` and ``parallel(n)`` is ``kofn(n,n)``.
 Whitespace is insignificant.  A BITSTRING is n characters of 0/1, one per
-coordinate.  ``prod`` nests at most ``MAX_DEPTH`` deep, so that evaluating a
-parsed expression stays well inside the interpreter's recursion limit.
-Parse errors carry the byte offset of the offending character.
+coordinate.  ``prod`` nests at most ``MAX_DEPTH`` deep, which keeps the
+recursive-descent parser well inside the interpreter's recursion limit; a
+parsed product is a flat stage chain, so nothing after parsing recurses
+per level.  ``format_expr`` writes a chain right-nested.  Parse errors
+carry the byte offset of the offending character.
 """
 
 from __future__ import annotations
@@ -162,7 +164,10 @@ def format_expr(expr: StructureExpr) -> str:
     if isinstance(expr, Consecutive):
         return f"consec({expr.k},{expr.n},{expr.topology})"
     if isinstance(expr, Product):
-        return f"prod({format_expr(expr.inner)},{format_expr(expr.outer)})"
+        *inner, text = map(format_expr, expr.stages)
+        for stage_text in reversed(inner):
+            text = f"prod({stage_text},{text})"
+        return text
     if isinstance(expr, Explicit):
         bits = sorted("".join(map(str, m)) for m in expr.members)
         return f"explicit({expr.n};{','.join(bits)})"

@@ -71,15 +71,23 @@ def wilson_interval(successes: int, samples: int, z: float = Z95):
     return lo, hi
 
 
-def _batch_rows(n: int) -> int:
-    return max(1, _BATCH_VALUES // max(1, n))
+def _batches(expr: StructureExpr, p: float, seed: int, limit: int, first: int):
+    """Yield (members, rows) per batch until ``limit`` samples are drawn.
 
-
-def _count_batch(expr: StructureExpr, p: float, rows: int, seed: int, batch: int) -> int:
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (batch << 64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    x = (rng.random((rows, expr.n)) < p).astype(np.uint8)
-    return int(np.count_nonzero(expr._contains_batch(x)))
+    Batch b draws min(first * 2^b, memory cap, samples left) rows from a
+    Philox stream keyed by (seed, b), so a batch's bits depend on the
+    inputs alone.
+    """
+    cap = max(1, _BATCH_VALUES // expr.n)
+    done = batch = 0
+    while done < limit:
+        rows = min(first << min(batch, 40), cap, limit - done)
+        key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (batch << 64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        x = (rng.random((rows, expr.n)) < p).astype(np.uint8)
+        yield int(np.count_nonzero(expr._contains_batch(x))), rows
+        done += rows
+        batch += 1
 
 
 def estimate_availability(
@@ -90,15 +98,7 @@ def estimate_availability(
     samples = int(samples)
     if samples < 100:
         raise McError(f"need at least 100 samples, got {samples}")
-    rows = _batch_rows(expr.n)
-    successes = 0
-    done = 0
-    batch = 0
-    while done < samples:
-        take = min(rows, samples - done)
-        successes += _count_batch(expr, p, take, seed, batch)
-        done += take
-        batch += 1
+    successes = sum(hits for hits, _ in _batches(expr, p, seed, samples, samples))
     lo, hi = wilson_interval(successes, samples)
     return McEstimate(successes / samples, lo, hi, samples, seed)
 
@@ -117,17 +117,11 @@ def estimate_to_halfwidth(
     halfwidth = float(halfwidth)
     if not 0.0 < halfwidth < 0.5:
         raise McError(f"halfwidth must lie in (0, 0.5), got {halfwidth!r}")
-    rows = _batch_rows(expr.n)
-    successes = 0
-    done = 0
-    batch = 0
-    while True:
-        take = min(1024 << min(batch, 40), rows, SAMPLE_CAP - done)
-        successes += _count_batch(expr, p, take, seed, batch)
-        done += take
-        batch += 1
+    successes = done = 0
+    for hits, rows in _batches(expr, p, seed, SAMPLE_CAP, 1024):
+        successes += hits
+        done += rows
         lo, hi = wilson_interval(successes, done)
         if 0.5 * (hi - lo) <= halfwidth:
             return McEstimate(successes / done, lo, hi, done, seed)
-        if done >= SAMPLE_CAP:
-            return McEstimate(successes / done, lo, hi, done, seed, capped=True)
+    return McEstimate(successes / done, lo, hi, done, seed, capped=True)

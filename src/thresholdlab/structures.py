@@ -10,7 +10,8 @@ variants:
 * ``Consecutive``     -- down when k consecutive components (on a cycle or
                          a line) are failed.
 * ``Product``         -- replace every component of an outer system by an
-                         independent copy of an inner system.
+                         independent copy of an inner system; stored as a
+                         flat chain of stages, innermost first.
 * ``Explicit``        -- an arbitrary up-closed member set, n <= 20.
 
 Structures are immutable value objects; every operation in this module is
@@ -19,7 +20,8 @@ a pure function and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -144,39 +146,41 @@ class Consecutive(StructureExpr):
         return (win == k).any(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Product(StructureExpr):
     """Plug an inner system into every component slot of an outer system.
 
-    With inner size r and outer size m, the ground set has n = r*m
-    coordinates laid out block-major: block j (0-based) occupies flat
-    positions j*r .. (j+1)*r - 1.  A configuration is a member when the
-    vector of per-block inner memberships is a member of the outer set.
+    A product is a flat chain of non-product ``stages``, innermost first:
+    ``Product(a, Product(b, c))`` and ``Product(Product(a, b), c)`` are the
+    same chain (a, b, c).  Coordinates are laid out block-major: with stage
+    sizes n_a, n_b, n_c the coordinate i_a of block (j_b, j_c) sits at flat
+    position (j_c n_b + j_b) n_a + i_a.  Each stage maps every block of its
+    size to its membership bit, and the last stage's bit decides.
     """
 
-    inner: StructureExpr
-    outer: StructureExpr
-    n: int = field(init=False)
+    stages: tuple
+    n: int
 
-    def __post_init__(self):
-        for side, operand in (("inner", self.inner), ("outer", self.outer)):
+    def __init__(self, inner: StructureExpr, outer: StructureExpr):
+        stages = []
+        for side, operand in (("inner", inner), ("outer", outer)):
             if not isinstance(operand, StructureExpr):
                 raise StructureError(f"{side} operand is not a structure: {operand!r}")
-        object.__setattr__(self, "n", self.inner.n * self.outer.n)
+            stages.extend(operand.stages if isinstance(operand, Product) else (operand,))
+        object.__setattr__(self, "stages", tuple(stages))
+        object.__setattr__(self, "n", math.prod(stage.n for stage in stages))
 
     def _contains(self, bits):
-        r, m = self.inner.n, self.outer.n
-        indicator = tuple(
-            1 if self.inner._contains(bits[j * r : (j + 1) * r]) else 0
-            for j in range(m)
-        )
-        return self.outer._contains(indicator)
+        for stage in self.stages:
+            r = stage.n
+            bits = tuple(int(stage._contains(bits[j : j + r])) for j in range(0, len(bits), r))
+        return bool(bits[0])
 
     def _contains_batch(self, x):
-        r, m = self.inner.n, self.outer.n
-        blocks = np.ascontiguousarray(x).reshape(-1, r)
-        ind = self.inner._contains_batch(blocks).reshape(-1, m)
-        return self.outer._contains_batch(ind.astype(np.uint8))
+        for stage in self.stages:
+            x = stage._contains_batch(np.ascontiguousarray(x).reshape(-1, stage.n))
+            x = x.view(np.uint8)
+        return x.view(bool)
 
 
 @dataclass(frozen=True)
@@ -318,11 +322,6 @@ def explicit_from_generators(n: int, generators: Iterable) -> Explicit:
 # -- operations -----------------------------------------------------------
 
 
-def ground_size(expr: StructureExpr) -> int:
-    """Number of hypercube coordinates the structure lives on."""
-    return expr.n
-
-
 def membership(expr: StructureExpr, cfg) -> bool:
     """Whether the configuration is a member of the failure set."""
     bits = _as_bit_tuple(cfg)
@@ -347,16 +346,17 @@ def truth_table(expr: StructureExpr) -> np.ndarray:
     if isinstance(expr, Explicit):
         return expr._table.copy()
     if isinstance(expr, Product):
-        inner_t = truth_table(expr.inner)
-        outer_t = truth_table(expr.outer)
-        r, m = expr.inner.n, expr.outer.n
-        idx = np.arange(1 << n, dtype=np.int64)
-        indicator = np.zeros(1 << n, dtype=np.int64)
-        mask = (1 << r) - 1
-        for j in range(m):
-            block = (idx >> (j * r)) & mask
-            indicator |= inner_t[block].astype(np.int64) << j
-        return outer_t[indicator]
+        # table covers the stages so far; the next one reads m blocks of r bits
+        first, *outer = expr.stages
+        table, r = truth_table(first), first.n
+        for stage in outer:
+            m = stage.n
+            idx = np.arange(1 << (r * m), dtype=np.int64)
+            indicator = np.zeros_like(idx)
+            for j in range(m):
+                indicator |= table[(idx >> (j * r)) & ((1 << r) - 1)].astype(np.int64) << j
+            table, r = truth_table(stage)[indicator], r * m
+        return table
     return expr._contains_batch(enumerate_bits(n))
 
 
@@ -410,15 +410,18 @@ def spot_check_monotone(expr: StructureExpr, samples: int = 2000, seed: int = 0)
 def verify_invariance(expr: Product, pair: PermutationPair) -> bool:
     """Exhaustively check invariance under a block/within-block permutation pair.
 
-    The permuted configuration zeta is zeta[i, j] = eta[g(i), h(j)]; the check
-    passes when every member maps to a member.  Requires n <= MAX_ENUM_BITS.
+    Coordinate i ranges over the first stage and block j over the rest of
+    the chain.  The permuted configuration zeta is zeta[i, j] = eta[g(i),
+    h(j)]; the check passes when every member maps to a member.  Requires
+    n <= MAX_ENUM_BITS.
     """
     if not isinstance(expr, Product):
         raise StructureError("invariance check is defined for product structures")
     n = expr.n
     if n > MAX_ENUM_BITS:
         raise StructureError(f"invariance check needs n <= {MAX_ENUM_BITS}, got {n}")
-    src = pair.flat_source_order(expr.inner.n, expr.outer.n)
+    r = expr.stages[0].n
+    src = pair.flat_source_order(r, n // r)
     t = truth_table(expr)
     bits = enumerate_bits(n)
     permuted = bits[:, src]

@@ -18,22 +18,13 @@ from statistics import NormalDist
 from typing import Callable, Sequence
 
 from .exact_eval import EvaluationError, availability, derivative
-from .structures import StructureExpr, ground_size, majority
+from .structures import StructureExpr, majority
 
 # A check "holds" when its normalized slack clears this floor; the margin
 # absorbs double rounding in exactly-tight cases.
 SLACK_TOL = 1e-12
 
 _NORMAL = NormalDist()
-_MAX_BISECTIONS = 200
-
-
-class ConvergenceError(RuntimeError):
-    """Bisection failed to shrink the bracket; carries the final bracket."""
-
-    def __init__(self, message: str, bracket):
-        super().__init__(f"{message} (final bracket {bracket[0]!r}..{bracket[1]!r})")
-        self.bracket = bracket
 
 
 @dataclass(frozen=True)
@@ -91,27 +82,24 @@ def _make_check(name: str, p: float, lhs: float, rhs: float, orient_ge: bool) ->
 def locate(expr: StructureExpr, alpha: float, tol: float = 1e-12) -> float:
     """The unique p with mu_p(expr) = alpha, by bisection on [0, 1].
 
-    Stops once the bracket is narrower than ``tol`` (>= 1e-14); the
-    returned midpoint is within tol/2 of the true crossing, so the level
-    error is at most tol/2 times the local slope plus the evaluation error.
+    Stops once the bracket is narrower than ``tol`` (finite, >= 1e-14),
+    which halving a dyadic bracket reaches within 47 steps; the returned
+    midpoint is within tol/2 of the true crossing, so the level error is at
+    most tol/2 times the local slope plus the evaluation error.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise EvaluationError(f"level must lie strictly inside (0, 1), got {alpha!r}")
-    if tol < 1e-14:
-        raise EvaluationError(f"tolerance {tol!r} below the 1e-14 floor")
+    if not 1e-14 <= tol < math.inf:
+        raise EvaluationError(f"tolerance must be finite and >= 1e-14, got {tol!r}")
     lo, hi = 0.0, 1.0  # mu(0) = 0 < alpha < 1 = mu(1) for nontrivial structures
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if availability(expr, mid).value < alpha:
             lo = mid
         else:
             hi = mid
-    raise ConvergenceError(
-        f"no bracket of width {tol!r} after {_MAX_BISECTIONS} bisections", (lo, hi)
-    )
+    return 0.5 * (lo + hi)
 
 
 def width(expr: StructureExpr, epsilon: float, tol: float = 1e-12) -> ThresholdReport:
@@ -176,8 +164,7 @@ def check_cauchy_schwarz_bound(expr: StructureExpr, p: float) -> BoundCheck:
     """
     mu = availability(expr, p).value
     dmu = derivative(expr, p)
-    n = ground_size(expr)
-    rhs = math.sqrt(max(0.0, mu * (1.0 - mu)) * n / (p * (1.0 - p)))
+    rhs = math.sqrt(max(0.0, mu * (1.0 - mu)) * expr.n / (p * (1.0 - p)))
     return _make_check("cauchy_schwarz", p, dmu, rhs, orient_ge=False)
 
 

@@ -131,7 +131,7 @@ def test_criterion_03_parallel_series_asymptotics():
     for e in (10, 14, 18):
         k = 2**e
         bk = parallel_series(k)
-        m, r = bk.inner.n, bk.outer.n
+        m, r = (stage.n for stage in bk.stages)
 
         def closed(alpha):
             return (-math.expm1(math.log1p(-alpha) / r)) ** (1.0 / m)

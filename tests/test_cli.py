@@ -100,6 +100,19 @@ def test_width_report_values(capsys):
     assert payload["width"] == pytest.approx(p_hi - p_lo, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ("width", "kofn(2,3)", "--tol", "nan"),
+    ("width", "kofn(2,3)", "--tol", "inf"),
+    ("verify", "kofn(2,3)", "--tol", "nan"),
+    ("scaling", "--family", "majority", "--sizes", "11,21", "--tol", "nan"),
+    ("scaling", "--family", "majority", "--sizes", "11,21", "--tol", "inf"),
+])
+def test_non_finite_tol_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "tolerance must be finite" in err
+    assert "Traceback" not in err and "Infinity" not in out
+
+
 def test_threshold_alias(capsys):
     code_w, out_w, _ = run(capsys, "width", "kofn(2,3)", "--eps", "0.2")
     code_t, out_t, _ = run(capsys, "threshold", "kofn(2,3)", "--eps", "0.2")

@@ -140,8 +140,7 @@ def test_target_table():
 def test_parallel_series_shape():
     bk = parallel_series(1024)
     assert isinstance(bk, Product)
-    assert bk.inner == KOutOfN(10, 10)
-    assert bk.outer == KOutOfN(1, 102)
+    assert bk.stages == (KOutOfN(10, 10), KOutOfN(1, 102))
     assert bk.n == 1020
     with pytest.raises(TargetError):
         parallel_series(1)

@@ -25,6 +25,7 @@ from thresholdlab import (
     series,
 )
 
+from thresholdlab import exact_eval
 from thresholdlab.exact_eval import MAX_RUN_LENGTH
 
 from conftest import FIXTURES, brute_availability, brute_influence
@@ -115,6 +116,37 @@ def test_product_identity_composition():
         q = availability(inner, p).value
         assert composed == pytest.approx(availability(outer, q).value, abs=1e-12)
         assert composed == pytest.approx(brute_availability(expr, p), abs=1e-12)
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_product_chain_evaluates_each_stage_once(nesting, monkeypatch):
+    # kofn(2,3) maps 1/2 to 1/2, so no stage of the chain saturates
+    depth = 65
+    expr = KOutOfN(2, 3)
+    for _ in range(depth - 1):
+        expr = product(expr, KOutOfN(2, 3)) if nesting == "left" else product(KOutOfN(2, 3), expr)
+    assert len(expr.stages) == depth
+    calls = {"availability": 0, "derivative": 0}
+
+    def counted(name):
+        original = getattr(exact_eval, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(exact_eval, name, wrapper)
+
+    counted("availability")
+    counted("derivative")
+    res = exact_eval.availability(expr, 0.5)
+    # 1/2 is a repelling fixed point: the bound follows the 1.5-fold growth
+    assert abs(res.value - 0.5) <= res.abs_error_bound <= 1e-2
+    # the top-level call, then one per stage and one slope per later stage
+    assert calls == {"availability": depth + 1, "derivative": depth - 1}
+    calls.update(availability=0, derivative=0)
+    assert exact_eval.derivative(expr, 0.5) == pytest.approx(1.5**depth, rel=1e-6)
+    assert calls == {"availability": depth, "derivative": depth + 1}
 
 
 # -- derivative ---------------------------------------------------------------
@@ -413,6 +445,15 @@ def test_consecutive_full_run_is_p_to_the_n(n, topology):
         res = availability(expr, p)
         assert abs(Fraction(res.value) - Fraction(p) ** n) <= Fraction(res.abs_error_bound)
         assert res.value == pytest.approx(p**n, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("expr, p", [
+    (Consecutive(8, 150), 0.999969878252562),
+    (Consecutive(12, 115, "linear"), 0.9997630574891393),
+])
+def test_consecutive_slope_is_never_negative(expr, p):
+    # near p = 1 the matrix-power slope is a difference of O(n) terms
+    assert derivative(expr, p) >= 0.0
 
 
 def test_consecutive_run_length_cap():

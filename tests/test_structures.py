@@ -15,7 +15,7 @@ from thresholdlab import (
     PermutationPair,
     StructureError,
     explicit_from_generators,
-    ground_size,
+    format_expr,
     majority,
     membership,
     parallel,
@@ -28,6 +28,7 @@ from thresholdlab import (
     verify_monotone,
 )
 from thresholdlab.construction import parallel_series
+from thresholdlab.structures import enumerate_bits
 
 from conftest import FIXTURES
 
@@ -85,9 +86,9 @@ def test_series_parallel_majority_sugar():
 # -- ground size --------------------------------------------------------------
 
 def test_ground_size_examples():
-    assert ground_size(KOutOfN(2, 3)) == 3
-    assert ground_size(product(parallel(2), series(3))) == 6
-    assert ground_size(product(product(series(2), parallel(2)), series(5))) == 20
+    assert KOutOfN(2, 3).n == 3
+    assert product(parallel(2), series(3)).n == 6
+    assert product(product(series(2), parallel(2)), series(5)).n == 20
 
 
 # -- membership ----------------------------------------------------------------
@@ -132,6 +133,24 @@ def test_product_membership_decomposes():
             int(membership(inner, bits[j * r : (j + 1) * r])) for j in range(m)
         )
         assert membership(expr, bits) == membership(outer, indicator)
+
+
+def test_product_is_associative():
+    a, b, c = series(2), Consecutive(2, 3, "linear"), parallel(2)
+    left, right = product(product(a, b), c), product(a, product(b, c))
+    assert left == right and hash(left) == hash(right)
+    assert left.stages == (a, b, c) and left.n == 12
+    assert format_expr(left) == format_expr(right) == (
+        "prod(series(2),prod(consec(2,3,linear),parallel(2)))"
+    )
+    # flat index (j_c n_b + j_b) n_a + i_a, on all three membership paths
+    table, batch = truth_table(left), left._contains_batch(enumerate_bits(12))
+    for packed, bits in enumerate(itertools.product((0, 1), repeat=12)):
+        bits = bits[::-1]  # coordinate i is bit i of the packed index
+        first = tuple(int(membership(a, bits[j : j + 2])) for j in range(0, 12, 2))
+        second = tuple(int(membership(b, first[j : j + 3])) for j in range(0, 6, 3))
+        want = membership(c, second)
+        assert membership(left, bits) == table[packed] == batch[packed] == want
 
 
 # -- monotonicity ---------------------------------------------------------------
