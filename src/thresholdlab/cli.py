@@ -220,18 +220,18 @@ def _cmd_scaling(args) -> int:
     sizes = sorted(int(s) for s in args.sizes.split(",") if s)
     if not sizes:
         raise EvaluationError("--sizes needs a comma-separated list of integers")
+    # rows first, so a failing run prints nothing but its error
     if args.target:
-        target = _load_target(args.target)
-        print("n,N,c_N,tau,tau_times_c_N")
-        for n, size, c_n, tau, product in construction.scaling_experiment(
-            target, sizes, args.eps, args.tol
-        ):
-            print(f"{n},{size},{c_n},{tau!r},{product!r}")
-        return 0
-    family = _FAMILIES[args.family]
-    print("n,sharpness_ratio,half_slope_statistic")
-    for n, ratio, stat in threshold.sharpness_trend(family, sizes, args.eps, args.tol):
-        print(f"{n},{ratio!r},{stat!r}")
+        header = "n,N,c_N,tau,tau_times_c_N"
+        rows = construction.scaling_experiment(
+            _load_target(args.target), sizes, args.eps, args.tol
+        )
+    else:
+        header = "n,sharpness_ratio,half_slope_statistic"
+        rows = threshold.sharpness_trend(_FAMILIES[args.family], sizes, args.eps, args.tol)
+    print(header)
+    for row in rows:
+        print(",".join(map(repr, row)))
     return 0
 
 

@@ -1,22 +1,22 @@
 """Exact (non-sampling) evaluation of the failure probability curve.
 
 For a structure A and component failure probability p, ``availability``
-returns mu_p(A) = P(configuration in A) computed by the cheapest exact
-route for the variant:
+returns mu_p(A) = P(configuration in A) and ``derivative`` its slope
+d mu_p / dp.  Both read one fold over the stage chain, a non-product
+being a chain of one stage.  Each stage costs one call of its variant's
+kernel, which gives the value with its own error bound and method, and
+the slope when asked:
 
 * k-out-of-n        -- binomial upper tail (stable log-domain summation),
                        with series/parallel closed forms via expm1/log1p;
 * consecutive runs  -- one power of the trailing-run transfer matrix,
                        O(k^3 log n); the slope rides along as the dual
                        block of [[M, dM/dp], [0, M]];
-* product           -- composition mu_p(A x B) = mu_{mu_p(A)}(B), one fold
-                       over the stage chain that carries the value, the
-                       error bound and the slope together;
 * explicit sets     -- the reliability polynomial, counted by brute force.
 
-``derivative`` gives d mu_p / dp analytically for every variant, and
-``influences`` the per-coordinate pivotality probabilities whose sum it
-equals.
+A product composes as mu_p(A x B) = mu_{mu_p(A)}(B), with slope
+mu'_B(mu_p(A)) mu'_p(A).  ``influences`` gives the per-coordinate
+pivotality probabilities whose sum is the slope.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .structures import (
 )
 
 _EPS = sys.float_info.epsilon
+_LN2 = math.log(2.0)
 
 METHODS = ("closed_form", "binomial_tail", "dp", "brute_force", "composed")
 
@@ -124,42 +125,87 @@ def _closed_form_bound(mu: float, log_work: float) -> float:
     return max((abs(log_work) + 4.0) * _EPS * min(mu, 1.0 - mu), 1e-18)
 
 
-# -- availability ----------------------------------------------------------
+# -- one kernel per variant, one fold over the stage chain -----------------
+
+
+def availability(expr: StructureExpr, p) -> EvalResult:
+    """Exact failure probability mu_p(expr) with method and error metadata."""
+    mu, bound, method, _ = _fold(expr, _check_prob(p), False)
+    return EvalResult(mu, method, bound)
+
+
+def derivative(expr: StructureExpr, p) -> float:
+    """Exact d mu_p(expr) / dp for p strictly inside (0, 1)."""
+    return _fold(expr, _check_interior(p), True)[3]
+
+
+def _check_interior(p) -> float:
+    p = _check_prob(p)
+    if p in (0.0, 1.0):
+        raise EvaluationError("derivative is only defined for 0 < p < 1 here")
+    return p
+
+
+def _fold(expr: StructureExpr, p: float, deriv: bool):
+    """(mu, error bound, method, d mu/dp if ``deriv``), folded over the stages.
+
+    A non-product is a chain of one stage.  Each stage maps its input q to
+    mu_q(stage), as mu_p(A x B) = mu_{mu_p(A)}(B); its bound is its own plus
+    the incoming bound times |d mu_q(stage)/dq|, and the slope takes the
+    same factor.  An input of 0 or 1 is fixed by every later stage, so
+    their slopes count as zero.  Each stage costs one kernel call, which is
+    asked for a slope only where one multiplies something nonzero, and for
+    a value everywhere but at the last stage of a derivative.
+    """
+    stages = expr.stages if isinstance(expr, Product) else (expr,)
+    last = len(stages) - 1
+    mu, bound, slope = p, 0.0, float(deriv)
+    for i, stage in enumerate(stages):
+        want_slope = 0.0 < mu < 1.0 and (bound or slope) != 0.0
+        mu, own, method, d = _kernel(stage, mu, not deriv or i < last, want_slope)
+        bound, slope = own + bound * abs(d), slope * d
+    return mu, bound, method if last == 0 else "composed", slope
 
 
 @singledispatch
-def availability(expr: StructureExpr, p) -> EvalResult:
-    """Exact failure probability mu_p(expr) with method and error metadata."""
+def _kernel(expr: StructureExpr, p: float, value: bool, slope: bool):
+    """(mu, own error bound, method, d mu/dp) of one non-product stage at p.
+
+    The value is computed when ``value`` is set and the slope when ``slope``
+    is (only for 0 < p < 1); a part not asked for reads nan, 0.0 or None.
+    """
     raise TypeError(f"no exact evaluation for {type(expr).__name__}")
 
 
-@availability.register
-def _(expr: KOutOfN, p) -> EvalResult:
-    p = _check_prob(p)
+@_kernel.register
+def _(expr: KOutOfN, p, value, slope):
     k, n = expr.k, expr.n
-    if p == 0.0:
-        return EvalResult(0.0, "closed_form", 0.0)
-    if p == 1.0:
-        return EvalResult(1.0, "closed_form", 0.0)
-    if k == 1 and n == 1:
-        return EvalResult(p, "closed_form", 0.0)
+    # d/dp P(Bin(n,p) >= k) = n * P(Bin(n-1,p) = k-1)
+    d = n * _binom.pmf(n - 1, k - 1, p) if slope else 0.0
+    if not value:
+        return math.nan, 0.0, None, d
+    if p in (0.0, 1.0) or k == n == 1:
+        return p, 0.0, "closed_form", d
     if k == 1:
         work = n * math.log1p(-p)
         mu = -math.expm1(work)
-        return EvalResult(mu, "closed_form", _closed_form_bound(mu, work))
+        return mu, _closed_form_bound(mu, work), "closed_form", d
     if k == n:
         work = n * math.log(p)
         mu = math.exp(work)
-        return EvalResult(mu, "closed_form", _closed_form_bound(mu, work))
-    mu = _binom.upper_tail(n, k, p)
-    return EvalResult(mu, "binomial_tail", _binom.error_bound(n, p))
+        return mu, _closed_form_bound(mu, work), "closed_form", d
+    return _binom.upper_tail(n, k, p), _binom.error_bound(n, p), "binomial_tail", d
 
 
-@availability.register
-def _(expr: Consecutive, p) -> EvalResult:
-    p = _check_prob(p)
-    mu = min(1.0, _consecutive_eval(expr, p, want_deriv=False)[0])
-    return EvalResult(mu, "dp", _consecutive_bound(expr, mu))
+@_kernel.register
+def _(expr: Consecutive, p, value, slope):
+    # one power gives the value with the slope; mu never falls as p grows,
+    # so the clamp drops rounding noise near p = 1
+    if p in (0.0, 1.0):
+        return p, 0.0, "dp", 0.0
+    mu, d = _consecutive_eval(expr, p, slope)
+    mu = min(1.0, mu)
+    return mu, _consecutive_bound(expr, mu), "dp", max(0.0, d)
 
 
 def _consecutive_bound(expr: Consecutive, mu: float) -> float:
@@ -182,75 +228,13 @@ def _consecutive_bound(expr: Consecutive, mu: float) -> float:
     return min(1.0, math.expm1(growth) * mu + growth * (expr.k + 3) * sys.float_info.min)
 
 
-@availability.register
-def _(expr: Explicit, p) -> EvalResult:
-    p = _check_prob(p)
+@_kernel.register
+def _(expr: Explicit, p, value, slope):
     poly = _cached_polynomial(expr)
-    return EvalResult(poly.evaluate(p), "brute_force", max(1e-15, 4.0 * _EPS * expr.n))
-
-
-@availability.register
-def _(expr: Product, p) -> EvalResult:
-    mu, bound, _ = _compose(expr, _check_prob(p), 0.0)
-    return EvalResult(mu, "composed", bound)
-
-
-def _compose(expr: Product, p: float, slope: float):
-    """(mu, error bound, slope * d mu/dp), folded over the stages in order.
-
-    Each stage maps its input q to mu_q(stage), as mu_p(A x B) =
-    mu_{mu_p(A)}(B); its bound is its own plus the incoming bound times
-    |d mu_q(stage)/dq|, and the slope takes the same factor.  An input of
-    0 or 1 is fixed by every later stage, so their slopes count as zero;
-    a slope that would only multiply zeros is not evaluated.
-    """
-    mu, bound = p, 0.0
-    for stage in expr.stages:
-        d = derivative(stage, mu) if 0.0 < mu < 1.0 and (bound or slope) else 0.0
-        res = availability(stage, mu)
-        mu, bound, slope = res.value, res.abs_error_bound + bound * abs(d), slope * d
-    return mu, bound, slope
-
-
-# -- derivative ------------------------------------------------------------
-
-
-@singledispatch
-def derivative(expr: StructureExpr, p) -> float:
-    """Exact d mu_p(expr) / dp for p strictly inside (0, 1)."""
-    raise TypeError(f"no exact derivative for {type(expr).__name__}")
-
-
-def _check_interior(p) -> float:
-    p = _check_prob(p)
-    if p in (0.0, 1.0):
-        raise EvaluationError("derivative is only defined for 0 < p < 1 here")
-    return p
-
-
-@derivative.register
-def _(expr: KOutOfN, p) -> float:
-    # d/dp P(Bin(n,p) >= k) = n * P(Bin(n-1,p) = k-1)
-    p = _check_interior(p)
-    return expr.n * _binom.pmf(expr.n - 1, expr.k - 1, p)
-
-
-@derivative.register
-def _(expr: Consecutive, p) -> float:
-    # mu never falls as p grows; the clamp drops rounding noise near p = 1
-    p = _check_interior(p)
-    return max(0.0, _consecutive_eval(expr, p, want_deriv=True)[1])
-
-
-@derivative.register
-def _(expr: Explicit, p) -> float:
-    p = _check_interior(p)
-    return _cached_polynomial(expr).derivative_at(p)
-
-
-@derivative.register
-def _(expr: Product, p) -> float:
-    return _compose(expr, _check_interior(p), 1.0)[2]
+    d = poly.derivative_at(p) if slope else 0.0
+    if not value:
+        return math.nan, 0.0, None, d
+    return poly.evaluate(p), max(1e-15, 4.0 * _EPS * expr.n), "brute_force", d
 
 
 # -- influences ------------------------------------------------------------
@@ -348,10 +332,14 @@ def _consecutive_eval(expr: Consecutive, p: float, want_deriv: bool):
     relative accuracy however small it is.
     """
     k, n = expr.k, expr.n
-    if p in (0.0, 1.0):  # derivative callers have excluded the endpoints
-        return p, 0.0
     if k > MAX_RUN_LENGTH:
         raise EvaluationError(f"consecutive runs need k <= {MAX_RUN_LENGTH}, got {k}")
+    if (n + 1) * (k + 3) * _EPS >= _LN2:
+        # the relative bound factor expm1((n+1)(k+3) eps) of mu reaches 1
+        raise EvaluationError(
+            f"consecutive runs need (n+1)(k+3) < ln 2 / eps = {_LN2 / _EPS:.3g}, "
+            f"got n = {n}, k = {k}"
+        )
     a, d = _run_templates(k, want_deriv)
     step = a + p * d
     m = k + 1

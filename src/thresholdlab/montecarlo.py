@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_eval import _check_prob
-from .structures import StructureExpr
+from .structures import _BATCH_VALUES, StructureExpr
 
 Z95 = 1.959963984540054  # standard normal quantile at 0.975
 
 SAMPLE_CAP = 10**8
-_BATCH_VALUES = 1 << 21  # ~2M doubles per batch keeps memory near 16 MB
 
 
 class McError(ValueError):
@@ -76,9 +75,11 @@ def _batches(expr: StructureExpr, p: float, seed: int, limit: int, first: int):
 
     Batch b draws min(first * 2^b, memory cap, samples left) rows from a
     Philox stream keyed by (seed, b), so a batch's bits depend on the
-    inputs alone.
+    inputs alone.  A row must fit in one batch of _BATCH_VALUES values.
     """
-    cap = max(1, _BATCH_VALUES // expr.n)
+    if expr.n > _BATCH_VALUES:
+        raise McError(f"sampling needs n <= {_BATCH_VALUES}, got {expr.n}")
+    cap = _BATCH_VALUES // expr.n
     done = batch = 0
     while done < limit:
         rows = min(first << min(batch, 40), cap, limit - done)

@@ -31,6 +31,9 @@ import numpy as np
 # brute force under a second and caps memory near 20 MB.
 MAX_ENUM_BITS = 20
 
+# Sampling draws at most this many values (16 MB of doubles) per batch.
+_BATCH_VALUES = 1 << 21
+
 
 class StructureError(ValueError):
     """Invalid structure definition or operand."""
@@ -390,20 +393,26 @@ def spot_check_monotone(expr: StructureExpr, samples: int = 2000, seed: int = 0)
 
     Samples configurations at several densities and verifies that single
     0 -> 1 flips never leave the set.  A True result is evidence, not proof.
+    Rows are drawn in batches of at most _BATCH_VALUES values.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
     n = expr.n
+    if n > _BATCH_VALUES:
+        raise StructureError(f"sampled monotone check needs n <= {_BATCH_VALUES}, got {n}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
     for p in (0.2, 0.5, 0.8):
-        x = (rng.random((max(1, samples // 3), n)) < p).astype(np.uint8)
-        member = expr._contains_batch(x)
-        rows = np.flatnonzero(member)
-        if rows.size == 0:
-            continue
-        cols = rng.integers(0, n, size=rows.size)
-        flipped = x[rows].copy()
-        flipped[np.arange(rows.size), cols] = 1
-        if not expr._contains_batch(flipped).all():
-            return False
+        left = max(1, samples // 3)
+        while left:
+            batch = min(left, _BATCH_VALUES // n)
+            left -= batch
+            x = (rng.random((batch, n)) < p).astype(np.uint8)
+            rows = np.flatnonzero(expr._contains_batch(x))
+            if rows.size == 0:
+                continue
+            cols = rng.integers(0, n, size=rows.size)
+            flipped = x[rows].copy()
+            flipped[np.arange(rows.size), cols] = 1
+            if not expr._contains_batch(flipped).all():
+                return False
     return True
 
 

@@ -84,6 +84,25 @@ def test_overlong_run_is_an_error(capsys):
     assert code == 1 and not out and "k <= " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "consec(2,1000000000000000000)", "--p", "0.5"),
+    ("width", "consec(3,1000000000000000000)"),
+])
+def test_uncertain_consecutive_system_is_an_error(capsys, argv):
+    # past (n+1)(k+3) eps = ln 2 the relative bound of mu reaches mu itself
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and "(n+1)(k+3)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "series(100000000000)"),
+    ("mc", "series(100000000000)", "--p", "0.5", "--samples", "100"),
+])
+def test_sampling_a_huge_structure_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and "n <= 2097152" in err
+
+
 # -- width / threshold ------------------------------------------------------------
 
 def test_width_report_values(capsys):
@@ -222,6 +241,16 @@ def test_scaling_family_csv(capsys):
 def test_scaling_rejects_bad_sizes(capsys):
     code, _, err = run(capsys, "scaling", "--family", "series", "--sizes", ",")
     assert code == 1 and "sizes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "majority", "--sizes", "11,21", "--tol", "nan"),
+    ("--target", "ceil_sqrt", "--sizes", "64,5"),
+    ("--family", "majority", "--sizes", "1"),
+])
+def test_failing_scaling_prints_no_table(capsys, argv):
+    code, out, err = run(capsys, "scaling", *argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 # -- mc ----------------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from thresholdlab import (
     derivative,
     explicit_from_generators,
     influences,
+    majority,
     membership,
     parallel,
     product,
@@ -126,27 +127,39 @@ def test_product_chain_evaluates_each_stage_once(nesting, monkeypatch):
     for _ in range(depth - 1):
         expr = product(expr, KOutOfN(2, 3)) if nesting == "left" else product(KOutOfN(2, 3), expr)
     assert len(expr.stages) == depth
-    calls = {"availability": 0, "derivative": 0}
+    calls = []
+    original = exact_eval._kernel
 
-    def counted(name):
-        original = getattr(exact_eval, name)
+    def counted(stage, p, value, slope):
+        calls.append((value, slope))
+        return original(stage, p, value, slope)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(exact_eval, name, wrapper)
-
-    counted("availability")
-    counted("derivative")
+    monkeypatch.setattr(exact_eval, "_kernel", counted)
     res = exact_eval.availability(expr, 0.5)
     # 1/2 is a repelling fixed point: the bound follows the 1.5-fold growth
     assert abs(res.value - 0.5) <= res.abs_error_bound <= 1e-2
-    # the top-level call, then one per stage and one slope per later stage
-    assert calls == {"availability": depth + 1, "derivative": depth - 1}
-    calls.update(availability=0, derivative=0)
+    # one kernel call per stage, with a slope wherever a bound comes in
+    assert calls == [(True, False)] + [(True, True)] * (depth - 1)
+    calls.clear()
     assert exact_eval.derivative(expr, 0.5) == pytest.approx(1.5**depth, rel=1e-6)
-    assert calls == {"availability": depth, "derivative": depth + 1}
+    # every stage gives its slope; the last stage's value is never used
+    assert calls == [(True, True)] * (depth - 1) + [(False, True)]
+
+
+def test_derivative_evaluates_no_unused_tail(monkeypatch):
+    calls = []
+    original = exact_eval._binom.upper_tail
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact_eval._binom, "upper_tail", counted)
+    assert derivative(KOutOfN(5_000_000, 10_000_000), 0.5) > 0.0
+    assert calls == []
+    # only the inner stage's value feeds the outer stage
+    assert derivative(product(majority(101), KOutOfN(50, 101)), 0.45) > 0.0
+    assert len(calls) == 1
 
 
 # -- derivative ---------------------------------------------------------------
@@ -463,4 +476,17 @@ def test_consecutive_run_length_cap():
     with pytest.raises(EvaluationError):
         availability(expr, 0.5)
     with pytest.raises(EvaluationError):
+        derivative(expr, 0.5)
+
+
+def test_consecutive_refuses_sizes_without_a_certain_digit():
+    # the relative bound factor expm1((n+1)(k+3) eps) reaches 1 at ln 2
+    n = math.ceil(math.log(2.0) / (5 * 2.0**-52))
+    assert availability(Consecutive(2, n - 2), 0.5).abs_error_bound < 1.0
+    expr = Consecutive(2, n)
+    assert availability(expr, 0.0).value == 0.0
+    assert availability(expr, 1.0).value == 1.0
+    with pytest.raises(EvaluationError, match=r"\(n\+1\)\(k\+3\)"):
+        availability(expr, 0.5)
+    with pytest.raises(EvaluationError, match=r"\(n\+1\)\(k\+3\)"):
         derivative(expr, 0.5)

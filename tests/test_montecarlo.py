@@ -108,6 +108,13 @@ def test_large_structure_sampling():
     assert abs(est.p_hat - exact) <= 4 * est.halfwidth
 
 
+def test_rows_past_the_batch_are_refused():
+    with pytest.raises(McError, match="n <= 2097152"):
+        estimate_availability(series(10**11), 0.5, 100)
+    with pytest.raises(McError, match="n <= 2097152"):
+        estimate_to_halfwidth(series(10**11), 0.5, 0.1)
+
+
 def test_coverage_quick():
     # light version of the acceptance coverage gate
     expr, p = SMALL[1]

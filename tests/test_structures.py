@@ -173,6 +173,25 @@ def test_spot_check_monotone_large():
     assert spot_check_monotone(parallel_series(2**10), samples=900, seed=3)
 
 
+class _EvenFailures(KOutOfN):
+    """Down when an even number of components fail: not monotone."""
+
+    def _contains_batch(self, x):
+        return x.sum(axis=1) % 2 == 0
+
+
+def test_spot_check_monotone_in_batches():
+    # 666 rows of 10^4 values take four batches of at most 2^21 values
+    assert spot_check_monotone(series(10**4))
+    assert spot_check_monotone(majority(10**4 + 1), seed=5)
+    assert not spot_check_monotone(_EvenFailures(1, 10**4))
+
+
+def test_spot_check_monotone_refuses_rows_past_the_batch():
+    with pytest.raises(StructureError, match="n <= 2097152"):
+        spot_check_monotone(series(10**11))
+
+
 @given(
     n=st.integers(2, 8),
     data=st.data(),
