@@ -30,14 +30,13 @@ import numpy as np
 
 from . import _binom
 from .structures import (
-    MAX_ENUM_BITS,
     Consecutive,
     Explicit,
     KOutOfN,
     Product,
-    StructureError,
     StructureExpr,
-    truth_table,
+    _member_weights,
+    _pivotal_weights,
 )
 
 _EPS = sys.float_info.epsilon
@@ -247,23 +246,13 @@ def influences(expr: StructureExpr, p) -> list:
     configuration into the failure set.  Brute force over the truth table,
     so the ground size is capped at MAX_ENUM_BITS.
     """
-    p = _check_interior(p)
-    n = expr.n
-    if n > MAX_ENUM_BITS:
-        raise StructureError(f"influences need n <= {MAX_ENUM_BITS}, got {n}")
-    t = truth_table(expr)
-    idx = np.arange(t.size, dtype=np.int64)
-    pop = np.bitwise_count(idx).astype(np.int64)
+    p, n = _check_interior(p), expr.n
     # pow tables over the weight of the *other* n-1 coordinates
     pw = [p**w * (1.0 - p) ** (n - 1 - w) for w in range(n)]
-    out = []
-    for i in range(n):
-        lower = idx[(idx >> i) & 1 == 0]
-        pivotal = t[lower | (1 << i)] & ~t[lower]
-        weights = pop[lower[pivotal]]
-        cnt = np.bincount(weights, minlength=n)
-        out.append(math.fsum(int(c) * pw[w] for w, c in enumerate(cnt) if c))
-    return out
+    return [
+        math.fsum(int(c) * pw[w] for w, c in enumerate(row) if c)
+        for row in _pivotal_weights(expr)
+    ]
 
 
 # -- reliability polynomial ------------------------------------------------
@@ -281,15 +270,7 @@ def reliability_polynomial(expr: StructureExpr) -> ReliabilityPolynomial:
             math.comb(expr.n, i) if i >= expr.k else 0 for i in range(expr.n + 1)
         )
         return ReliabilityPolynomial(expr.n, counts)
-    if expr.n > MAX_ENUM_BITS:
-        raise StructureError(
-            f"reliability polynomial needs n <= {MAX_ENUM_BITS} "
-            f"for {type(expr).__name__}, got {expr.n}"
-        )
-    t = truth_table(expr)
-    pop = np.bitwise_count(np.arange(t.size, dtype=np.int64))
-    counts = np.bincount(pop[t], minlength=expr.n + 1)
-    return ReliabilityPolynomial(expr.n, tuple(int(c) for c in counts))
+    return ReliabilityPolynomial(expr.n, tuple(int(c) for c in _member_weights(expr)))
 
 
 @lru_cache(maxsize=256)

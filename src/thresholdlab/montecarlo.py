@@ -94,11 +94,11 @@ def _batches(expr: StructureExpr, p: float, seed: int, limit: int, first: int):
 def estimate_availability(
     expr: StructureExpr, p: float, samples: int, seed: int = 0
 ) -> McEstimate:
-    """Fraction of `samples` Bernoulli(p) configurations in the failure set."""
+    """Fraction of `samples` (100 to SAMPLE_CAP) Bernoulli(p) draws in the failure set."""
     p = _check_prob(p)
     samples = int(samples)
-    if samples < 100:
-        raise McError(f"need at least 100 samples, got {samples}")
+    if not 100 <= samples <= SAMPLE_CAP:
+        raise McError(f"need 100 to {SAMPLE_CAP} samples, got {samples}")
     successes = sum(hits for hits, _ in _batches(expr, p, seed, samples, samples))
     lo, hi = wilson_interval(successes, samples)
     return McEstimate(successes / samples, lo, hi, samples, seed)

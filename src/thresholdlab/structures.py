@@ -15,7 +15,9 @@ variants:
 * ``Explicit``        -- an arbitrary up-closed member set, n <= 20.
 
 Structures are immutable value objects; every operation in this module is
-a pure function and safe to call concurrently.
+a pure function and safe to call concurrently.  For n <= 20 a structure
+builds its truth table once, on first use, and keeps it read-only; every
+exhaustive check reads that one table.
 """
 
 from __future__ import annotations
@@ -87,6 +89,22 @@ class StructureExpr:
 
     def __contains__(self, cfg) -> bool:
         return membership(self, cfg)
+
+    # -- truth table -----------------------------------------------------
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        if self.n > MAX_ENUM_BITS:
+            raise StructureError(
+                f"truth table needs n <= {MAX_ENUM_BITS}, got n = {self.n}; "
+                "use sampled spot checks for larger structures"
+            )
+        table = self._build_table()
+        table.flags.writeable = False
+        return table
+
+    def _build_table(self) -> np.ndarray:
+        return self._contains_batch(enumerate_bits(self.n))
 
 
 @dataclass(frozen=True)
@@ -185,6 +203,18 @@ class Product(StructureExpr):
             x = x.view(np.uint8)
         return x.view(bool)
 
+    def _build_table(self):
+        # the table covers the stages so far; the next stage reads its block
+        # indicator, whose bit j is that table at block j of the index
+        first, *outer = self.stages
+        table = truth_table(first)
+        for stage in outer:
+            indicator = np.zeros(1, dtype=np.int64)
+            for j in range(stage.n):
+                indicator = np.add.outer(table.astype(np.int64) << j, indicator).ravel()
+            table = truth_table(stage)[indicator]
+        return table
+
 
 @dataclass(frozen=True)
 class Explicit(StructureExpr):
@@ -213,41 +243,23 @@ class Explicit(StructureExpr):
             raise StructureError("empty failure set is trivial; rejected")
         if len(members) == 1 << self.n:
             raise StructureError("full failure set is trivial; rejected")
-        bad = self._up_closure_violation()
+        bad = _monotone_violation(self._table)
         if bad is not None:
+            member, outside = (f"{v:0{self.n}b}"[::-1] for v in bad)
             raise StructureError(
-                f"member set is not up-closed: {''.join(map(str, bad[0]))} is a member "
-                f"but {''.join(map(str, bad[1]))} is not"
+                f"member set is not up-closed: {member} is a member but {outside} is not"
             )
 
-    def _up_closure_violation(self):
-        ints = self._member_ints
-        arr = np.fromiter(ints, dtype=np.int64, count=len(ints))
-        for i in range(self.n):
-            zero_bit = arr[(arr >> i) & 1 == 0]
-            flipped = zero_bit | (1 << i)
-            missing = flipped[~np.isin(flipped, arr)]
-            if missing.size:
-                src = int(missing[0]) & ~(1 << i)
-                return _int_to_bits(src, self.n), _int_to_bits(int(missing[0]), self.n)
-        return None
-
-    @cached_property
-    def _member_ints(self) -> frozenset:
-        return frozenset(_bits_to_int(m) for m in self.members)
-
-    @cached_property
-    def _table(self) -> np.ndarray:
-        t = np.zeros(1 << self.n, dtype=bool)
-        t[list(self._member_ints)] = True
-        return t
+    def _build_table(self):
+        table = np.zeros(1 << self.n, dtype=bool)
+        table[_pack(np.array(list(self.members), dtype=np.uint8))] = True
+        return table
 
     def _contains(self, bits):
-        return _bits_to_int(bits) in self._member_ints
+        return bits in self.members
 
     def _contains_batch(self, x):
-        packed = x.astype(np.int64) @ (np.int64(1) << np.arange(self.n, dtype=np.int64))
-        return self._table[packed]
+        return self._table[_pack(x)]
 
 
 @dataclass(frozen=True)
@@ -301,20 +313,17 @@ def product(a: StructureExpr, b: StructureExpr) -> Product:
 
 
 def upward_closure(n: int, generators: Iterable) -> frozenset:
-    """All configurations coordinatewise >= some generator."""
-    seeds = {_bits_to_int(_as_bit_tuple(g)) for g in generators}
-    closed = set()
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        if v in closed:
-            continue
-        closed.add(v)
-        for i in range(n):
-            up = v | (1 << i)
-            if up != v and up not in closed:
-                stack.append(up)
-    return frozenset(_int_to_bits(v, n) for v in closed)
+    """All configurations coordinatewise >= some generator; n <= MAX_ENUM_BITS."""
+    generators = [_as_bit_tuple(g) for g in generators]
+    if any(len(g) != n for g in generators):
+        raise StructureError(f"generator length differs from n = {n}")
+    bits = enumerate_bits(n)
+    table = np.zeros(len(bits), dtype=bool)
+    table[_pack(np.array(generators, dtype=np.uint8).reshape(len(generators), n))] = True
+    for i in range(n):
+        view = _flip(table, i)
+        view[:, 1] |= view[:, 0]
+    return frozenset(map(tuple, bits[table].tolist()))
 
 
 def explicit_from_generators(n: int, generators: Iterable) -> Explicit:
@@ -338,29 +347,11 @@ def membership(expr: StructureExpr, cfg) -> bool:
 def truth_table(expr: StructureExpr) -> np.ndarray:
     """Membership of every configuration, indexed by the packed integer.
 
-    Coordinate i maps to bit i of the index.  Requires n <= MAX_ENUM_BITS.
+    Coordinate i maps to bit i of the index.  The table is built on the
+    structure's first call and cached on it; the array is read-only.
+    Requires n <= MAX_ENUM_BITS.
     """
-    n = expr.n
-    if n > MAX_ENUM_BITS:
-        raise StructureError(
-            f"truth table needs n <= {MAX_ENUM_BITS}, got n = {n}; "
-            "use sampled spot checks for larger structures"
-        )
-    if isinstance(expr, Explicit):
-        return expr._table.copy()
-    if isinstance(expr, Product):
-        # table covers the stages so far; the next one reads m blocks of r bits
-        first, *outer = expr.stages
-        table, r = truth_table(first), first.n
-        for stage in outer:
-            m = stage.n
-            idx = np.arange(1 << (r * m), dtype=np.int64)
-            indicator = np.zeros_like(idx)
-            for j in range(m):
-                indicator |= table[(idx >> (j * r)) & ((1 << r) - 1)].astype(np.int64) << j
-            table, r = truth_table(stage)[indicator], r * m
-        return table
-    return expr._contains_batch(enumerate_bits(n))
+    return expr._table
 
 
 def enumerate_bits(n: int) -> np.ndarray:
@@ -379,13 +370,7 @@ def verify_monotone(expr: StructureExpr) -> bool:
 
     Requires n <= MAX_ENUM_BITS; see spot_check_monotone for larger sizes.
     """
-    t = truth_table(expr)
-    idx = np.arange(t.size, dtype=np.int64)
-    for i in range(expr.n):
-        lower = idx[(idx >> i) & 1 == 0]
-        if np.any(t[lower] & ~t[lower | (1 << i)]):
-            return False
-    return True
+    return _monotone_violation(truth_table(expr)) is None
 
 
 def spot_check_monotone(expr: StructureExpr, samples: int = 2000, seed: int = 0) -> bool:
@@ -426,25 +411,53 @@ def verify_invariance(expr: Product, pair: PermutationPair) -> bool:
     """
     if not isinstance(expr, Product):
         raise StructureError("invariance check is defined for product structures")
-    n = expr.n
-    if n > MAX_ENUM_BITS:
-        raise StructureError(f"invariance check needs n <= {MAX_ENUM_BITS}, got {n}")
-    r = expr.stages[0].n
+    n, r, t = expr.n, expr.stages[0].n, truth_table(expr)
     src = pair.flat_source_order(r, n // r)
+    # axis k of the (2,)*n view is coordinate n-1-k; the transpose applies the
+    # inverse of eta -> zeta, which fixes the member set exactly when it does
+    moved = t.reshape((2,) * n).transpose([n - 1 - src[n - 1 - k] for k in range(n)])
+    return bool(np.array_equal(t, moved.ravel()))
+
+
+# -- per-coordinate reads of a truth table ----------------------------------
+
+
+def _flip(table: np.ndarray, i: int) -> np.ndarray:
+    """View of a 2^n table whose [:, 0] holds the entries with bit i clear
+    and [:, 1], in the same order, those with bit i set."""
+    return table.reshape(-1, 2, 1 << i)
+
+
+def _monotone_violation(table: np.ndarray):
+    """First (member, non-member) index pair one 0 -> 1 flip apart, or None."""
+    for i in range(table.size.bit_length() - 1):
+        view = _flip(table, i)
+        bad = np.flatnonzero(view[:, 0] & ~view[:, 1])
+        if bad.size:
+            member = int(_flip(np.arange(table.size), i)[:, 0].flat[bad[0]])
+            return member, member | 1 << i
+    return None
+
+
+def _member_weights(expr: StructureExpr) -> np.ndarray:
+    """Number of members with each failure count 0..n."""
     t = truth_table(expr)
-    bits = enumerate_bits(n)
-    permuted = bits[:, src]
-    packed = permuted.astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    return bool(np.all(~t | t[packed]))
+    return np.bincount(np.bitwise_count(np.arange(t.size))[t], minlength=expr.n + 1)
 
 
-def _bits_to_int(bits) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if b:
-            v |= 1 << i
-    return v
+def _pivotal_weights(expr: StructureExpr) -> np.ndarray:
+    """(n, n) counts: row i holds, by the failure count of the other n - 1
+    coordinates, the configurations in which failing coordinate i brings
+    the system down."""
+    n, t = expr.n, truth_table(expr)
+    pop = np.bitwise_count(np.arange(t.size))
+    out = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        view, weight = _flip(t, i), _flip(pop, i)
+        out[i] = np.bincount(weight[:, 0][view[:, 1] & ~view[:, 0]], minlength=n)
+    return out
 
 
-def _int_to_bits(v: int, n: int) -> tuple:
-    return tuple((v >> i) & 1 for i in range(n))
+def _pack(x: np.ndarray) -> np.ndarray:
+    """Truth-table index of each row of an (B, n) 0/1 array."""
+    return x.astype(np.int64) @ (np.int64(1) << np.arange(x.shape[1], dtype=np.int64))

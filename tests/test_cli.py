@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import thresholdlab
-from thresholdlab import cli, parse_expr, availability
+from thresholdlab import cli, parse_expr, availability, structures
 
 
 def run(capsys, *argv):
@@ -162,6 +162,24 @@ def test_verify_large_structure_uses_sampling(capsys):
     assert "monotone_sampled" in out
 
 
+@pytest.mark.parametrize("expr, builds", [
+    ("kofn(7,16)", 1),
+    ("prod(series(2),prod(consec(2,3,linear),parallel(2)))", 3),
+])
+def test_verify_builds_each_stage_table_once(capsys, monkeypatch, expr, builds):
+    calls = []
+    enumerate_bits = structures.enumerate_bits
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_bits(n)
+
+    monkeypatch.setattr(structures, "enumerate_bits", counted)
+    code, out, _ = run(capsys, "verify", expr)
+    assert code == 0 and "monotone_exhaustive" in out
+    assert len(calls) == builds
+
+
 def test_verify_json_and_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_verify_rows", lambda expr, tol: [("rigged_check", False, "boom")]
@@ -274,6 +292,13 @@ def test_mc_halfwidth(capsys):
     payload = json.loads(out)
     assert 0.5 * (payload["ci_hi"] - payload["ci_lo"]) <= 0.02 + 1e-12
     assert payload["capped"] is False
+
+
+def test_mc_sample_count_past_the_cap_is_an_error(capsys):
+    code, out, err = run(
+        capsys, "mc", "kofn(2,3)", "--p", "0.5", "--samples", "1000000000000"
+    )
+    assert code == 1 and not out and "100 to 100000000 samples" in err
 
 
 def test_mc_requires_exactly_one_mode(capsys):

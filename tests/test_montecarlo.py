@@ -70,6 +70,8 @@ def test_estimate_interval_contains_exact_for_spec_fixtures():
 def test_estimate_validation():
     with pytest.raises(McError):
         estimate_availability(KOutOfN(1, 1), 0.5, 99)
+    with pytest.raises(McError, match="100 to 100000000 samples"):
+        estimate_availability(KOutOfN(1, 1), 0.5, montecarlo.SAMPLE_CAP + 1)
 
 
 def test_halfwidth_mode():

@@ -1,6 +1,7 @@
 """Structure algebra: membership, products, monotonicity, invariance."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def test_explicit_rejects_non_up_closed():
     # {(1,0)} misses (1,1), so construction must fail before any operation
     with pytest.raises(StructureError, match="not up-closed"):
         Explicit(2, frozenset([(1, 0)]))
+    # the message names a member whose flip at one coordinate is not one
+    members = upward_closure(5, ["11000", "00110"]) - {(1, 1, 0, 1, 1)}
+    with pytest.raises(StructureError, match="not up-closed") as exc:
+        Explicit(5, members)
+    inside, outside = re.search(r"(\d+) is a member but (\d+) is not", str(exc.value)).groups()
+    inside, outside = Configuration(inside).bits, Configuration(outside).bits
+    assert inside in members and outside not in members
+    assert [b - a for a, b in zip(inside, outside) if a != b] == [1]
 
 
 def test_explicit_rejects_trivial():
@@ -118,6 +127,7 @@ def test_membership_accepts_configuration_and_string():
 @pytest.mark.parametrize("expr", FIXTURES, ids=lambda e: type(e).__name__ + str(e.n))
 def test_batch_matches_scalar_membership(expr):
     table = truth_table(expr)
+    assert truth_table(expr) is table and not table.flags.writeable
     for idx, bits in enumerate(itertools.product((0, 1), repeat=expr.n)):
         # enumerate_bits packs coordinate i into bit i of the row index
         packed = sum(b << i for i, b in enumerate(bits))
@@ -210,6 +220,19 @@ def test_upward_closure_is_up_closed(n, data):
     assert verify_monotone(expr)
     for g in gens:
         assert membership(expr, g)
+    # nothing beyond what some generator lies below
+    assert closed == {
+        bits for bits in itertools.product((0, 1), repeat=n)
+        if any(all(b >= a for a, b in zip(g, bits)) for g in gens)
+    }
+
+
+@pytest.mark.parametrize("generators", [["111"], ["1"], ["11", "0"]])
+def test_upward_closure_rejects_generator_length(generators):
+    with pytest.raises(StructureError, match="generator length"):
+        upward_closure(2, generators)
+    with pytest.raises(StructureError, match="generator length"):
+        explicit_from_generators(2, generators)
 
 
 # -- permutation invariance -------------------------------------------------------
