@@ -2,12 +2,17 @@
 
 For a nontrivial monotone structure the failure probability p -> mu_p is
 strictly increasing from 0 to 1, so every level alpha has a unique
-crossing point p(alpha).  ``locate`` inverts the curve by bisection (the
-only method that survives both razor-sharp and nearly flat curves),
-``width`` packages the transition interval p(1-eps) - p(eps), and the
-``check_*`` functions evaluate the curve inequalities every monotone
-structure must (or, for the Gaussian isoperimetric one, asymptotically
-should) satisfy.
+crossing point p(alpha).  ``locate`` inverts the curve inside a bracket
+[lo, hi] that always holds the crossing: it picks each evaluation point
+by a Newton step in log-odds (logit mu against logit p), started from a
+stage-by-stage approximate inversion, and falls back to bisection
+whenever that step is unsafe (the safeguarded Newton of Press et al.,
+*Numerical Recipes*, 3rd ed., section 9.4).  Razor-sharp and nearly flat
+curves alike end with a bracket no wider than tol, as under plain
+bisection, in a handful of evaluations instead of 40-47.  ``width``
+packages the transition interval p(1-eps) - p(eps), and the ``check_*``
+functions evaluate the curve inequalities every monotone structure must
+(or, for the Gaussian isoperimetric one, asymptotically should) satisfy.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from statistics import NormalDist
 from typing import Callable, Sequence
 
 from .exact_eval import EvaluationError, availability, derivative
-from .structures import StructureExpr, majority
+from .structures import KOutOfN, Product, StructureExpr, majority
 
 # A check "holds" when its normalized slack clears this floor; the margin
 # absorbs double rounding in exactly-tight cases.
@@ -34,8 +39,9 @@ class ThresholdReport:
     ``width`` is p_hi - p_lo where mu_{p_lo} = eps and mu_{p_hi} = 1 - eps;
     ``sharpness_ratio`` normalizes it by p_half (1 - p_half), the scale on
     which a family's threshold counts as sharp when the ratio drops to 0.
-    ``tol`` is the bisection bracket width on p; the induced level error is
-    tol times the local slope plus the evaluation error bound.
+    ``tol`` is the width of the final bracket on p around each located
+    point; the induced level error is tol times the local slope plus the
+    evaluation error bound.
     """
 
     epsilon: float
@@ -80,12 +86,16 @@ def _make_check(name: str, p: float, lhs: float, rhs: float, orient_ge: bool) ->
 
 
 def locate(expr: StructureExpr, alpha: float, tol: float = 1e-12) -> float:
-    """The unique p with mu_p(expr) = alpha, by bisection on [0, 1].
+    """The unique p with mu_p(expr) = alpha, inside a shrinking bracket.
 
-    Stops once the bracket is narrower than ``tol`` (finite, >= 1e-14),
-    which halving a dyadic bracket reaches within 47 steps; the returned
-    midpoint is within tol/2 of the true crossing, so the level error is at
-    most tol/2 times the local slope plus the evaluation error.
+    The bracket [lo, hi] starts at [0, 1].  Each step evaluates mu at one
+    p strictly inside it and moves lo (mu < alpha) or hi (mu >= alpha) to
+    p, so the crossing never leaves it; the search stops once the bracket
+    is no wider than ``tol`` (finite, >= 1e-14) and returns its midpoint,
+    which is within tol/2 of the true crossing: the level error is at most
+    tol/2 times the local slope plus the evaluation error.  Only the choice
+    of p is Newton's (see ``_next_point``), so the answer carries the
+    guarantee of bisection in 2 to 10 evaluations on most curves.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -93,13 +103,121 @@ def locate(expr: StructureExpr, alpha: float, tol: float = 1e-12) -> float:
     if not 1e-14 <= tol < math.inf:
         raise EvaluationError(f"tolerance must be finite and >= 1e-14, got {tol!r}")
     lo, hi = 0.0, 1.0  # mu(0) = 0 < alpha < 1 = mu(1) for nontrivial structures
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if availability(expr, mid).value < alpha:
-            lo = mid
+    p = min(max(_start(expr, alpha), 0.25 * tol), 1.0 - 0.25 * tol)
+    last = math.inf  # length of the Newton step (or bisection) that led to p
+    while True:
+        mu = availability(expr, p).value
+        if mu < alpha:
+            lo = p
         else:
-            hi = mid
+            hi = p
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        p, last = _next_point(expr, alpha, p, mu, lo, hi, tol, last)
+
+
+def _next_point(expr, alpha, p, mu, lo, hi, tol, last):
+    """Next evaluation point, strictly inside (lo, hi), and its Newton step.
+
+    p is the end of the bracket just moved, mu its value, and ``last`` the
+    length of the previous Newton step (or bisection).  The Newton point is
+    taken when its step is under half the last one and it lies inside the
+    bracket; a step under tol/2 is first carried tol/2 further, toward the
+    crossing, so that the next evaluation lands on the far side of the
+    crossing and closes the bracket instead of creeping up on it from one
+    side.  Otherwise the bracket is bisected.  Returns the point and the
+    step to record as the next ``last``.
+    """
+    target = _newton_point(expr, alpha, p, mu)
+    if target is not None and abs(target - p) < 0.5 * last:
+        step = abs(target - p)
+        if step < 0.5 * tol:
+            target += 0.5 * tol if mu < alpha else -0.5 * tol
+        if lo < target < hi:
+            return target, step
+    target = _bisection_point(lo, hi, tol)
+    return target, abs(target - p)
+
+
+def _newton_point(expr, alpha, p, mu):
+    """Root of the tangent of logit mu against logit p, or None without one.
+
+    The slope d logit mu / d logit p = mu' p (1-p) / (mu (1-mu)) varies
+    slowly in both tails, where mu behaves like a power of p or of 1-p.
+    """
+    if not 0.0 < mu < 1.0:
+        return None
+    slope = derivative(expr, p) * p * (1.0 - p) / (mu * (1.0 - mu))
+    if not 0.0 < slope < math.inf:
+        return None
+    return _expit(_logit(p) + (_logit(alpha) - _logit(mu)) / slope)
+
+
+def _logit(x: float) -> float:
+    return math.log(x / (1.0 - x))
+
+
+def _expit(t: float) -> float:
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+def _bisection_point(lo, hi, tol):
+    """A point splitting (lo, hi): geometric in a tail, arithmetic elsewhere.
+
+    Below 1/2 with hi > 4 lo the split is sqrt(lo hi), and above 1/2 the
+    same in 1 - p, so a crossing near 0 or 1 costs a few halvings of its
+    logarithm, not 40 halvings of the width.  An end at 0 (or 1) counts as
+    tol/4 away, which keeps the point strictly inside the bracket.
+    """
+    floor = 0.25 * tol
+    if hi <= 0.5 and hi > 4.0 * lo:
+        return math.sqrt(max(lo, floor) * hi)
+    if lo >= 0.5 and 1.0 - lo > 4.0 * (1.0 - hi):
+        return 1.0 - math.sqrt(max(1.0 - hi, floor) * (1.0 - lo))
     return 0.5 * (lo + hi)
+
+
+def _start(expr: StructureExpr, alpha: float) -> float:
+    """Approximate crossing point, inverting stage by stage, outermost first.
+
+    mu_p(A x B) = mu_{mu_p(A)}(B), so the outer stage is inverted at alpha
+    and each inner stage at the level the previous inversion returned.
+    """
+    stages = expr.stages if isinstance(expr, Product) else (expr,)
+    level = alpha
+    for stage in reversed(stages):
+        level = _stage_start(stage, level)
+    return level
+
+
+def _stage_start(stage: StructureExpr, beta: float) -> float:
+    """Approximate p with mu_p(stage) = beta, without evaluating the stage.
+
+    Series and parallel invert exactly; another k-out-of-n takes the normal
+    approximation with continuity correction, k - 1/2 - n p = z sqrt(n p q)
+    with z the upper beta quantile, whose root on the matching side of
+    (k - 1/2) / n solves a quadratic in p.  Runs and explicit sets start
+    at 1/2.
+    """
+    if not isinstance(stage, KOutOfN):
+        return 0.5
+    if not 0.0 < beta < 1.0:
+        return beta
+    k, n = stage.k, stage.n
+    if k == 1:
+        return -math.expm1(math.log1p(-beta) / n)
+    if k == n:
+        return math.exp(math.log(beta) / n)
+    c, z = k - 0.5, -_NORMAL.inv_cdf(beta)
+    z2 = z * z
+    upper = (2.0 * c + z2 + abs(z) * math.sqrt(4.0 * c * (n - c) / n + z2)) / (2.0 * (n + z2))
+    if z < 0.0:
+        return upper
+    # the smaller root from the product of the roots, c^2 / (n (n + z^2))
+    return c * c / (n * (n + z2) * upper)
 
 
 def width(expr: StructureExpr, epsilon: float, tol: float = 1e-12) -> ThresholdReport:
@@ -107,6 +225,10 @@ def width(expr: StructureExpr, epsilon: float, tol: float = 1e-12) -> ThresholdR
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= 0.5:
         raise EvaluationError(f"level must lie in (0, 1/2], got {epsilon!r}")
+    if 1.0 - epsilon == 1.0:
+        raise EvaluationError(
+            f"epsilon = {epsilon!r} is too small: 1 - epsilon rounds to 1 in doubles"
+        )
     p_lo = locate(expr, epsilon, tol)
     p_hi = locate(expr, 1.0 - epsilon, tol) if epsilon < 0.5 else p_lo
     p_half = locate(expr, 0.5, tol)

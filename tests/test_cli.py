@@ -132,6 +132,13 @@ def test_non_finite_tol_is_an_error(capsys, argv):
     assert "Traceback" not in err and "Infinity" not in out
 
 
+def test_width_epsilon_below_the_double_grid_is_an_error(capsys):
+    # 1 - 1e-320 == 1.0, so the upper level would be 1, which no one typed
+    code, out, err = run(capsys, "width", "kofn(2,3)", "--eps", "1e-320")
+    assert code == 1 and out == ""
+    assert "epsilon = 1e-320" in err and "got 1.0" not in err
+
+
 def test_threshold_alias(capsys):
     code_w, out_w, _ = run(capsys, "width", "kofn(2,3)", "--eps", "0.2")
     code_t, out_t, _ = run(capsys, "threshold", "kofn(2,3)", "--eps", "0.2")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtri
@@ -11,7 +12,9 @@ from thresholdlab import (
     Consecutive,
     EvaluationError,
     KOutOfN,
+    WidthTarget,
     availability,
+    build_arbitrary_width,
     check_cauchy_schwarz_bound,
     check_entropy_inequalities,
     check_isoperimetric_bound,
@@ -28,6 +31,7 @@ from thresholdlab import (
     sharpness_trend,
     width,
 )
+from thresholdlab import threshold
 from thresholdlab.threshold import SLACK_TOL
 
 from conftest import FIXTURES
@@ -68,6 +72,119 @@ def test_round_trip(expr):
     for alpha in LEVELS:
         p = locate(expr, alpha, 1e-13)
         assert abs(availability(expr, p).value - alpha) <= 1e-10
+
+
+# Independent curves: scipy's binomial survival function and closed forms.
+def _kofn_case(f, n):
+    k = max(1, round(f * n))
+    return pytest.param(KOutOfN(k, n), lambda p: float(binom.sf(k - 1, n, p)), id=f"kofn-{f}-{n}")
+
+
+def _run_case(k, n):
+    # Feller's alternating sums for no run of k among n units in a line,
+    # with x = q p^k; 60 digits cover the cancellation at these levels
+    def mu(p):
+        with mpmath.workdps(60):
+            p = mpmath.mpf(p)
+            x = (1 - p) * p**k
+
+            def s(m):
+                return mpmath.fsum(
+                    (-1) ** j * math.comb(m - j * k, j) * x**j for j in range(m // (k + 1) + 1)
+                )
+
+            return float(1 - (s(n) - p**k * s(n - k)))
+
+    return pytest.param(Consecutive(k, n, "linear"), mu, id=f"consec-{k}-{n}-linear")
+
+
+def _build_case(name):
+    # majority(a) inside m in parallel inside r in series: 1 - (1 - B^m)^r
+    record = build_arbitrary_width(WidthTarget.builtin(name), 2**20)
+    a, m, r = record.a, record.m, record.r
+
+    def mu(p):
+        b = float(binom.sf(a // 2 - 1, a, p))
+        return -math.expm1(r * math.log1p(-(b**m))) if b < 1.0 else 1.0
+
+    return pytest.param(record.expr, mu, id=f"{name}-2^20")
+
+
+ORACLE_CASES = [
+    *(_kofn_case(f, n) for n in (101, 6401, 10**5, 10**7) for f in (0.03, 0.5, 0.97)),
+    pytest.param(
+        series(10**11),
+        lambda p: 1.0 if p >= 1.0 else -math.expm1(10**11 * math.log1p(-p)),
+        id="series-1e11",
+    ),
+    pytest.param(
+        parallel(10**11),
+        lambda p: 0.0 if p <= 0.0 else math.exp(10**11 * math.log(p)),
+        id="parallel-1e11",
+    ),
+    *(_build_case(name) for name in ("ceil_log", "ceil_cuberoot", "ceil_sqrt")),
+    # long runs, whose error bound (n+1)(k+3) eps mu is far above their
+    # actual error: a stop on |mu - alpha| <= bound fails here
+    *(_run_case(k, n) for k, n in ((5, 2000), (8, 3000), (20, 10**4))),
+]
+
+
+@pytest.mark.parametrize("tol", (1e-12, 1e-14))
+@pytest.mark.parametrize("expr, mu", ORACLE_CASES)
+def test_locate_brackets_the_oracle_crossing(expr, mu, tol):
+    # the oracle's crossing lies within tol of the located point, and the
+    # point keeps clear of 0 and 1 wherever the crossing does
+    for alpha in (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6):
+        p = locate(expr, alpha, tol)
+        assert mu(max(0.0, p - tol)) <= alpha + 1e-12, (alpha, p)
+        assert mu(min(1.0, p + tol)) >= alpha - 1e-12, (alpha, p)
+        if mu(2.0 * tol) < alpha < mu(1.0 - 2.0 * tol):
+            assert tol < p < 1.0 - tol, (alpha, p)
+
+
+@pytest.mark.parametrize("expr", (series(10**17), parallel(10**17)), ids=("series", "parallel"))
+def test_width_with_crossings_past_the_tolerance_stays_inside(expr):
+    # every crossing lies within 1e-17 of 0 or 1; the midpoint of the last
+    # bracket must still not round onto an end
+    report = width(expr, 0.25, 1e-14)
+    assert 0.0 < report.p_half < 1.0
+    assert math.isfinite(report.sharpness_ratio)
+
+
+def _count_evaluations(monkeypatch):
+    points = []
+    real = threshold.availability
+
+    def counted(expr, p):
+        points.append(p)
+        return real(expr, p)
+
+    monkeypatch.setattr(threshold, "availability", counted)
+    return points
+
+
+def test_locate_work_counts(monkeypatch):
+    points = _count_evaluations(monkeypatch)
+    width(majority(6401), 0.25)
+    assert len(points) <= 15  # three levels; bisection takes 120
+    for name in ("ceil_log", "ceil_cuberoot", "ceil_sqrt"):
+        points.clear()
+        width(build_arbitrary_width(WidthTarget.builtin(name), 2**20).expr, 0.25)
+        assert len(points) <= 18, name
+    # a wrong slope costs evaluations, never the answer
+    tol = 1e-13
+    cap = 2 * math.ceil(math.log2(1.0 / tol)) + 4
+    real_derivative = threshold.derivative
+    for factor in (10.0, 0.1, 0.0):
+        monkeypatch.setattr(
+            threshold, "derivative", lambda e, p, f=factor: f * real_derivative(e, p)
+        )
+        for expr in FIXTURES:
+            for alpha in LEVELS:
+                points.clear()
+                p = locate(expr, alpha, tol)
+                assert abs(availability(expr, p).value - alpha) <= 1e-10, (factor, expr, alpha)
+                assert len(points) <= cap, (factor, expr, alpha, len(points))
 
 
 # -- width ----------------------------------------------------------------------
